@@ -9,6 +9,7 @@ subcommand is deterministic given identical inputs and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Sequence
 
@@ -17,7 +18,7 @@ from . import evaluate as eval_mod
 from . import formats
 from . import sweep as sweep_mod
 from .graph import DEFAULT_K, CorpusGraph, build_graph, graph_file_size
-from .lexical import Bm25Params, DenseVectors, InvertedIndex, bm25_doc_topk, bm25_retrieve, bm25_score, dense_topk, index_corpus
+from .lexical import Bm25Params, DenseVectors, InvertedIndex, bm25_doc_scores, bm25_doc_topk, bm25_retrieve, dense_topk, index_corpus
 from .ranking import Ranking
 from .rerank import (
     Bm25Scorer,
@@ -161,8 +162,13 @@ def cmd_cluster_test(args: argparse.Namespace) -> int:
         params = _bm25_params(args)
         docmap = index.docmap
 
+        # cluster_matrix asks for every pair of one probe in a row
+        @functools.lru_cache(maxsize=1)
+        def probe_scores(probe: str):
+            return bm25_doc_scores(index, params, docmap.internal(probe))
+
         def similarity(probe: str, other: str) -> float:
-            return bm25_score(index, params, index.doc_terms[docmap.internal(probe)], docmap.internal(other))
+            return float(probe_scores(probe)[docmap.internal(other)])
 
     else:
         if not args.vectors:
@@ -171,8 +177,7 @@ def cmd_cluster_test(args: argparse.Namespace) -> int:
         docmap = vectors.docmap
 
         def similarity(probe: str, other: str) -> float:
-            sims = vectors.similarities(docmap.internal(probe))
-            return float(sims[docmap.internal(other)])
+            return vectors.similarity(docmap.internal(probe), docmap.internal(other))
 
     matrix = eval_mod.cluster_matrix(qrels, similarity)
     print("rel\t" + "\t".join(f"nbr={y}" for y in range(eval_mod.N_LABELS)))

@@ -6,6 +6,7 @@ invocations produce byte-identical files.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -110,6 +111,8 @@ def read_run(path: str | Path) -> dict[str, list[tuple[str, float]]]:
             score = float(raw_score)
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: bad rank or score") from None
+        if not math.isfinite(score):
+            raise ValueError(f"{path}: line {lineno}: non-finite score {raw_score!r} for query {qid!r} doc {docid!r}")
         if qid in last_rank and rank <= last_rank[qid]:
             raise ValueError(f"{path}: line {lineno}: rank {rank} out of order for query {qid!r}")
         if docid in seen.setdefault(qid, set()):

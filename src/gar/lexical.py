@@ -6,13 +6,15 @@ similarity for corpus graph construction.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import struct
-from collections import Counter
+from array import array
+from collections import defaultdict
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -45,109 +47,251 @@ class Bm25Params:
 
 
 class InvertedIndex:
-    """Term -> {internal id -> term frequency} postings over a corpus.
+    """Columnar BM25 index over a corpus; immutable once built.
 
-    Postings follow corpus order, so iteration over a term's docs is by
-    ascending internal id. The index is immutable once built.
+    Terms are numbered in sorted string order. A term-major table holds,
+    for each term, the internal ids of the docs containing it (ascending)
+    and their term frequencies; a doc-major table holds each doc's term
+    numbers (ascending). `postings[term]` and `doc_terms[doc]` are
+    read-only views of these tables.
+
+    Two derived arrays are cached: the BM25 weight of every posting, computed
+    once per `Bm25Params` and kept until another parameter set is asked for,
+    and a sorted (term, doc) key per posting for single-doc lookups.
     """
 
-    __slots__ = ("docmap", "postings", "doc_lengths", "avg_doc_length", "doc_terms")
+    __slots__ = (
+        "docmap", "doc_lengths", "avg_doc_length", "postings", "doc_terms",
+        "_vocab", "_term_ids", "_term_ptr", "_post_docs", "_post_tfs", "_post_keys",
+        "_doc_ptr", "_doc_cols", "_weights",
+    )
 
     def __init__(
         self,
         docmap: DocMap,
-        postings: dict[str, dict[int, int]],
+        vocab: Sequence[str],
         doc_lengths: Sequence[int],
-        doc_terms: Sequence[tuple[str, ...]],
+        doc_ptr: np.ndarray,
+        doc_cols: np.ndarray,
+        doc_tfs: np.ndarray,
     ):
+        """Doc-major input: doc d's term numbers (ascending, indexing the
+        sorted `vocab`) and frequencies lie at doc_ptr[d]:doc_ptr[d + 1]."""
+        n_docs = len(docmap)
         self.docmap = docmap
-        self.postings = postings
         self.doc_lengths = tuple(doc_lengths)
-        self.avg_doc_length = sum(doc_lengths) / len(doc_lengths)
-        self.doc_terms = tuple(doc_terms)
+        self.avg_doc_length = sum(self.doc_lengths) / n_docs
+        self._vocab = tuple(vocab)
+        self._term_ids = {term: col for col, term in enumerate(self._vocab)}
+        self._doc_ptr = _frozen(doc_ptr, np.int64)
+        self._doc_cols = _frozen(doc_cols, np.int32)
+        # a stable sort by term keeps each term's docs in ascending order
+        order = np.argsort(self._doc_cols, kind="stable")
+        doc_of = np.repeat(np.arange(n_docs, dtype=np.int32), np.diff(self._doc_ptr))
+        self._post_docs = _frozen(doc_of[order], np.int32)
+        self._post_tfs = _frozen(np.asarray(doc_tfs)[order], np.int32)
+        counts = np.bincount(self._doc_cols, minlength=len(self._vocab))
+        self._term_ptr = _frozen(np.concatenate(([0], np.cumsum(counts))), np.int64)
+        self._post_keys: np.ndarray | None = None
+        self._weights: tuple[Bm25Params, np.ndarray] | None = None
+        # the views hold the tables, not the index, so the index is freed by
+        # reference counting alone, without waiting for the cycle collector
+        self.postings: Mapping[str, np.ndarray] = _Postings(self._term_ids, self._term_ptr, self._post_docs)
+        self.doc_terms: Sequence[tuple[str, ...]] = _DocTerms(self._vocab, self._doc_ptr, self._doc_cols)
 
     @property
     def n_docs(self) -> int:
         return len(self.docmap)
 
     def term_frequency(self, term: str, doc: int) -> int:
-        return self.postings.get(term, {}).get(doc, 0)
+        col = self._term_ids.get(term)
+        if col is None or not 0 <= doc < self.n_docs:
+            return 0
+        keys = self._posting_keys()
+        key = col * self.n_docs + doc
+        at = int(np.searchsorted(keys, key))
+        return int(self._post_tfs[at]) if at < len(keys) and keys[at] == key else 0
 
     def document_frequency(self, term: str) -> int:
-        return len(self.postings.get(term, {}))
+        col = self._term_ids.get(term)
+        return 0 if col is None else int(self._term_ptr[col + 1] - self._term_ptr[col])
+
+    def _columns(self, terms: Iterable[str]) -> np.ndarray:
+        """Ascending term numbers of the distinct indexed terms among `terms`."""
+        ids = self._term_ids
+        return np.array(sorted({ids[t] for t in terms if t in ids}), dtype=np.int64)
+
+    def _doc_columns(self, doc: int) -> np.ndarray:
+        return self._doc_cols[self._doc_ptr[doc] : self._doc_ptr[doc + 1]]
+
+    def _posting_keys(self) -> np.ndarray:
+        """term * n_docs + doc of every posting, ascending over the term-major table.
+
+        Built on first use: graph construction never looks a posting up.
+        """
+        if self._post_keys is None:
+            counts = np.diff(self._term_ptr)
+            starts = np.repeat(np.arange(len(counts)) * self.n_docs, counts)
+            self._post_keys = _frozen(starts + self._post_docs, np.int64)
+        return self._post_keys
+
+    def _bm25_weights(self, params: Bm25Params) -> np.ndarray:
+        """Saturated, idf-weighted BM25 value of every posting, term-major.
+
+        Each value is formed with the same operations, in the same order, as
+        the per-term BM25 summand, so sums over them are bitwise reproducible.
+        """
+        cached = self._weights
+        if cached is not None and cached[0] == params:
+            return cached[1]
+        if len(self._post_docs) == 0:  # only empty docs: avg_doc_length is 0
+            weights = np.zeros(0)
+        else:
+            n = self.n_docs
+            dfs = np.diff(self._term_ptr)
+            idf = np.array([math.log((n - df + 0.5) / (df + 0.5) + 1.0) for df in dfs.tolist()])
+            lengths = np.asarray(self.doc_lengths, dtype=np.float64)
+            norm = 1.0 - params.b + params.b * lengths / self.avg_doc_length
+            tf = self._post_tfs.astype(np.float64)
+            k1 = params.k1
+            weights = np.repeat(idf, dfs) * tf * (k1 + 1.0) / (tf + k1 * norm[self._post_docs])
+        weights.setflags(write=False)
+        self._weights = (params, weights)
+        return weights
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    out = np.array(values, dtype=dtype)
+    out.setflags(write=False)
+    return out
+
+
+class _Postings(Mapping[str, np.ndarray]):
+    """term -> ascending internal ids of the docs containing it."""
+
+    __slots__ = ("_term_ids", "_ptr", "_docs")
+
+    def __init__(self, term_ids: dict[str, int], ptr: np.ndarray, docs: np.ndarray):
+        self._term_ids = term_ids
+        self._ptr = ptr
+        self._docs = docs
+
+    def __getitem__(self, term: str) -> np.ndarray:
+        col = self._term_ids[term]
+        return self._docs[self._ptr[col] : self._ptr[col + 1]]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._term_ids)
+
+    def __len__(self) -> int:
+        return len(self._term_ids)
+
+
+class _DocTerms(Sequence[tuple[str, ...]]):
+    """doc -> its distinct terms in sorted order."""
+
+    __slots__ = ("_vocab", "_ptr", "_cols")
+
+    def __init__(self, vocab: tuple[str, ...], ptr: np.ndarray, cols: np.ndarray):
+        self._vocab = vocab
+        self._ptr = ptr
+        self._cols = cols
+
+    def __getitem__(self, doc):
+        doc = range(len(self))[doc]
+        vocab = self._vocab
+        return tuple(vocab[col] for col in self._cols[self._ptr[doc] : self._ptr[doc + 1]].tolist())
+
+    def __len__(self) -> int:
+        return len(self._ptr) - 1
 
 
 def index_corpus(corpus: Iterable[tuple[str, str]]) -> InvertedIndex:
     """Build an inverted index from (docid, text) pairs."""
     docids: list[str] = []
-    lengths: list[int] = []
-    doc_terms: list[tuple[str, ...]] = []
-    postings: dict[str, dict[int, int]] = {}
-    for doc, (docid, text) in enumerate(corpus):
+    # terms are numbered by first sight here, then renumbered in sorted order
+    first_seen: defaultdict[str, int] = defaultdict(itertools.count().__next__)
+    number = first_seen.__getitem__
+    tokens = array("i")
+    ends: list[int] = []
+    for docid, text in corpus:
         docids.append(docid)
-        tokens = tokenize(text)
-        lengths.append(len(tokens))
-        counts = Counter(tokens)
-        doc_terms.append(tuple(sorted(counts)))
-        for term, tf in counts.items():
-            postings.setdefault(term, {})[doc] = tf
+        tokens.extend(map(number, tokenize(text)))
+        ends.append(len(tokens))
     if not docids:
         raise ValueError("corpus is empty")
-    return InvertedIndex(DocMap(docids), postings, lengths, doc_terms)
+    docmap = DocMap(docids)
+    vocab = sorted(first_seen)
+    n_terms = len(vocab)
+    renumber = np.empty(n_terms, dtype=np.int64)
+    renumber[[first_seen[term] for term in vocab]] = np.arange(n_terms)
+    lengths = np.diff(ends, prepend=0)
+    # one key per (doc, term) pair, sorted doc-major; its count is the tf
+    keys = renumber[np.frombuffer(tokens, dtype=np.int32)]
+    keys += np.repeat(np.arange(len(docids)) * n_terms, lengths)
+    keys, tfs = np.unique(keys, return_counts=True)
+    # a corpus of empty docs has no terms and no keys to split
+    docs, cols = np.divmod(keys, n_terms) if n_terms else (keys, keys)
+    doc_ptr = np.concatenate(([0], np.cumsum(np.bincount(docs, minlength=len(docids)))))
+    return InvertedIndex(docmap, vocab, lengths.tolist(), doc_ptr, cols, tfs)
 
 
-def _idf(index: InvertedIndex, term: str) -> float:
-    df = index.document_frequency(term)
-    return math.log((index.n_docs - df + 0.5) / (df + 0.5) + 1.0)
+def _score_all(index: InvertedIndex, params: Bm25Params, cols: np.ndarray) -> np.ndarray:
+    """BM25 score of every doc against the term numbers `cols` (ascending).
+
+    bincount adds each doc's weights one at a time in input order, which is
+    term by term in sorted term order, so every score is bitwise the
+    sequential sum of its summands in that order.
+    """
+    if len(cols) == 0:
+        return np.zeros(index.n_docs)
+    weights = index._bm25_weights(params)
+    ptr = index._term_ptr
+    spans = [slice(lo, hi) for lo, hi in zip(ptr[cols].tolist(), ptr[cols + 1].tolist())]
+    docs = np.concatenate([index._post_docs[span] for span in spans])
+    return np.bincount(docs, np.concatenate([weights[span] for span in spans]), index.n_docs)
 
 
-def bm25_score(
+def _top_pairs(scores: np.ndarray, count: int) -> list[tuple[int, float]]:
+    """The `count` best docs with a positive score, by (score desc, id asc)."""
+    if count <= 0:
+        return []
+    if count < len(scores):
+        # keep every doc tied with the count-th best so the id tie-break is exact
+        cut = np.partition(scores, len(scores) - count)[len(scores) - count]
+        ids = np.flatnonzero(scores >= cut) if cut > 0.0 else np.flatnonzero(scores > 0.0)
+    else:
+        ids = np.flatnonzero(scores > 0.0)
+    values = scores[ids]
+    order = np.lexsort((ids, -values))[:count]
+    return list(zip(ids[order].tolist(), values[order].tolist()))
+
+
+def bm25_scores(
     index: InvertedIndex,
     params: Bm25Params,
     query_terms: Iterable[str],
-    doc: int,
-) -> float:
-    """Okapi BM25 score of one doc against a set of query terms.
+    docs: Sequence[int],
+) -> np.ndarray:
+    """Okapi BM25 scores of the internal ids `docs` against a set of query terms.
 
-    Repeated query terms contribute once; terms are visited in sorted
-    order so the float accumulation is deterministic.
+    Repeated query terms contribute once; each score adds the doc's term
+    weights in sorted term order, as every BM25 route here does. A doc
+    without the term adds 0.0, which leaves a non-negative sum unchanged.
     """
-    if index.avg_doc_length == 0:
-        return 0.0
-    norm = 1.0 - params.b + params.b * index.doc_lengths[doc] / index.avg_doc_length
-    score = 0.0
-    for term in sorted(set(query_terms)):
-        tf = index.term_frequency(term, doc)
-        if tf == 0:
-            continue
-        score += _idf(index, term) * tf * (params.k1 + 1.0) / (tf + params.k1 * norm)
-    return score
-
-
-def _accumulate(
-    index: InvertedIndex, params: Bm25Params, terms: Iterable[str]
-) -> dict[int, float]:
-    """BM25 partial scores for every doc with positive term overlap."""
-    k1 = params.k1
-    b = params.b
-    avg = index.avg_doc_length
-    lengths = index.doc_lengths
-    scores: dict[int, float] = {}
-    for term in sorted(set(terms)):
-        plist = index.postings.get(term)
-        if not plist:
-            continue
-        idf = _idf(index, term)
-        for doc, tf in plist.items():
-            norm = 1.0 - b + b * lengths[doc] / avg
-            contrib = idf * tf * (k1 + 1.0) / (tf + k1 * norm)
-            scores[doc] = scores.get(doc, 0.0) + contrib
+    docs = np.asarray(docs, dtype=np.int64)
+    if len(docs) and not (0 <= docs.min() and docs.max() < index.n_docs):
+        raise IndexError(f"internal id out of range 0..{index.n_docs - 1}: {docs.tolist()}")
+    cols = index._columns(query_terms)
+    keys = index._posting_keys()
+    wanted = (cols[:, None] * index.n_docs + docs).ravel()
+    at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    weights = index._bm25_weights(params)
+    found = np.where(keys[at] == wanted, weights[at], 0.0).reshape(len(cols), len(docs))
+    scores = np.zeros(len(docs))
+    for row in found:  # term by term, in sorted term order
+        scores += row
     return scores
-
-
-def _top_pairs(scores: dict[int, float], count: int) -> list[tuple[int, float]]:
-    ranked = sorted(scores.items(), key=lambda pair: (-pair[1], pair[0]))
-    return ranked[:count]
 
 
 def bm25_retrieve(
@@ -158,9 +302,17 @@ def bm25_retrieve(
     top_n: int = 1000,
 ) -> Ranking:
     """Rank docs with positive query overlap; ties break by ascending internal id."""
-    scores = _accumulate(index, params, tokenize(query))
+    scores = _score_all(index, params, index._columns(tokenize(query)))
     pairs = _top_pairs(scores, top_n)
     return Ranking.from_pairs(qid, ((index.docmap.external(doc), s) for doc, s in pairs))
+
+
+def bm25_doc_scores(index: InvertedIndex, params: Bm25Params, doc: int) -> np.ndarray:
+    """Doc-as-query BM25 score of every doc, `doc` itself included.
+
+    The query is the doc's distinct terms.
+    """
+    return _score_all(index, params, index._doc_columns(doc))
 
 
 def bm25_doc_topk(
@@ -170,8 +322,8 @@ def bm25_doc_topk(
 
     The doc's unique terms form the query and the doc itself is excluded.
     """
-    scores = _accumulate(index, params, index.doc_terms[doc])
-    scores.pop(doc, None)
+    scores = bm25_doc_scores(index, params, doc)
+    scores[doc] = 0.0
     return _top_pairs(scores, k_plus)
 
 
@@ -231,6 +383,11 @@ class DenseVectors:
         """Cosine similarity of every row against row `doc`, clipped to [-1, 1]."""
         m64 = self._as_float64()
         return np.clip(m64 @ m64[doc], -1.0, 1.0)
+
+    def similarity(self, a: int, b: int) -> float:
+        """Cosine similarity of rows `a` and `b` in float64, clipped to [-1, 1]."""
+        dot = self._matrix[a].astype(np.float64) @ self._matrix[b].astype(np.float64)
+        return float(np.clip(dot, -1.0, 1.0))
 
     # --- binary format: 16-byte header then n_docs*dim little-endian float32 ---
 

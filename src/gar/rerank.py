@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol, Sequence
@@ -17,11 +18,12 @@ from typing import Iterable, Mapping, Protocol, Sequence
 import numpy as np
 
 from .graph import CorpusGraph
-from .lexical import Bm25Params, InvertedIndex, bm25_score, tokenize
+from .lexical import Bm25Params, InvertedIndex, bm25_scores, tokenize
 from .ranking import PROV_FRONTIER, PROV_INITIAL, RankEntry, Ranking
 
 # Backfill scores step down by this much per doc; large enough to survive
-# the 6-decimal score field of run files.
+# the 6-decimal score field of run files. Where the scores are too large for
+# the step to register, backfill steps down one float spacing instead.
 BACKFILL_EPSILON = 1e-6
 
 Qrels = Mapping[str, Mapping[str, int]]
@@ -93,6 +95,10 @@ class ScoreCache:
                     score = float(raw)
                 except ValueError:
                     raise ValueError(f"{path}: line {lineno}: bad score {raw!r}") from None
+                if not math.isfinite(score):
+                    raise ValueError(
+                        f"{path}: line {lineno}: non-finite score {raw!r} for query {qid!r} doc {docid!r}"
+                    )
                 key = (qid, docid)
                 if key in scores and scores[key] != score:
                     raise ValueError(
@@ -178,11 +184,8 @@ class Bm25Scorer:
         self._params = params
 
     def score_batch(self, qid: str, query: str, docids: Sequence[str]) -> list[float]:
-        terms = set(tokenize(query))
-        return [
-            bm25_score(self._index, self._params, terms, self._index.docmap.internal(docid))
-            for docid in docids
-        ]
+        docs = [self._index.docmap.internal(docid) for docid in docids]
+        return bm25_scores(self._index, self._params, tokenize(query), docs).tolist()
 
 
 class RecordingScorer:
@@ -263,13 +266,20 @@ def backfill(remainder: Sequence[str], scored: Iterable[RankEntry]) -> list[Rank
     """Entries for unscored pool docs, appended below every scored doc.
 
     Synthetic scores step down from the minimum scored value so the
-    remainder keeps its original order under a plain sort by score.
+    remainder keeps its original order under a plain sort by score. Each
+    step is BACKFILL_EPSILON, or one float spacing where that is larger, so
+    the scores stay strictly decreasing at any magnitude.
     """
     base = min((entry.score for entry in scored), default=0.0)
-    return [
-        RankEntry(docid, base - (i + 1) * BACKFILL_EPSILON)
-        for i, docid in enumerate(remainder)
-    ]
+    entries = []
+    previous = base
+    for i, docid in enumerate(remainder):
+        score = base - (i + 1) * BACKFILL_EPSILON
+        if score >= previous:
+            score = math.nextafter(previous, -math.inf)
+        entries.append(RankEntry(docid, score))
+        previous = score
+    return entries
 
 
 def _rerank(
@@ -330,7 +340,10 @@ def _rerank(
                 f"scorer returned {len(scores)} scores for a batch of {len(batch)} (query {qid!r})"
             )
         for docid, score in zip(batch, scores):
-            scored[docid] = float(score)
+            score = float(score)
+            if not math.isfinite(score):
+                raise ValueError(f"scorer returned non-finite score {score!r} for query {qid!r} doc {docid!r}")
+            scored[docid] = score
         if expand:
             for docid in batch:
                 internal = docmap.get(docid)

@@ -7,12 +7,16 @@ from gar import (
     DenseVectors,
     DocMap,
     CorpusGraph,
+    cluster_matrix,
     graph_file_size,
     precompute_cache,
     read_run,
     read_trace,
+    write_cluster_matrix,
+    write_qrels,
 )
 from gar.cli import main
+from oracles import bm25_all_scores
 
 CORPUS = [
     ("d0", "apple fruit crisp"),
@@ -189,6 +193,48 @@ def test_dense_route(workdir, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert out.startswith("ils\t")
+
+
+def cluster_fixture(tmp_path):
+    """40 docs with text and vectors, and three queries of ten judged docs each."""
+    rng = np.random.default_rng(8)
+    words = [f"t{i}" for i in range(12)]
+    docids = [f"c{i:02d}" for i in range(40)]
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("".join(f"{d}\t{' '.join(rng.choice(words, size=5))}\n" for d in docids))
+    vectors = tmp_path / "vectors.bin"
+    DenseVectors(rng.normal(size=(40, 6)), DocMap(docids)).save(vectors)
+    qrels = {f"q{q}": {docids[d]: int(rng.integers(0, 4)) for d in rng.choice(40, size=10, replace=False)} for q in range(3)}
+    qrels_path = tmp_path / "qrels.txt"
+    write_qrels(qrels_path, qrels)
+    return corpus, vectors, qrels, qrels_path
+
+
+def test_cluster_test_matrices_match_reference(tmp_path, capsys):
+    corpus, vectors_path, qrels, qrels_path = cluster_fixture(tmp_path)
+    vectors = DenseVectors.load(vectors_path)
+    internal = vectors.docmap.internal
+
+    # dense: one dot product per pair gives the matrix the full similarity row gave
+    def full_row(probe, other):
+        return float(vectors.similarities(internal(probe))[internal(other)])
+
+    want = cluster_matrix(qrels, full_row)
+    assert np.array_equal(cluster_matrix(qrels, lambda p, o: vectors.similarity(internal(p), internal(o))), want)
+
+    # bm25: doc-as-query scores of the probe, from the loop reference
+    tokens = [line.split("\t")[1].split() for line in corpus.read_text().splitlines()]
+    bm25 = {docid: bm25_all_scores(tokens, set(tokens[internal(docid)])) for docid in vectors.docmap}
+
+    for method, source, matrix in [
+        ("dense", ["--vectors", vectors_path], want),
+        ("bm25", ["--corpus", corpus], cluster_matrix(qrels, lambda p, o: bm25[p][internal(o)])),
+    ]:
+        out, ref = tmp_path / f"{method}.tsv", tmp_path / f"{method}-ref.tsv"
+        assert run_cli("cluster-test", "--qrels", qrels_path, "--method", method, *source, "--out", out) == 0
+        write_cluster_matrix(ref, matrix)
+        assert out.read_bytes() == ref.read_bytes(), method
+    capsys.readouterr()
 
 
 def test_rerank_typical_mode_needs_no_graph(workdir, capsys):

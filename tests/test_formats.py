@@ -136,6 +136,14 @@ def test_run_read_errors(tmp_path):
             read_run(path)
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_run_read_rejects_non_finite_score(tmp_path, raw):
+    path = tmp_path / "run.txt"
+    path.write_text(f"q1 Q0 a 1 1.0 t\nq1 Q0 b 2 {raw} t\n")
+    with pytest.raises(ValueError, match=r"line 2: non-finite score .* query 'q1' doc 'b'"):
+        read_run(path)
+
+
 def test_run_interleaved_qids_allowed(tmp_path):
     path = tmp_path / "run.txt"
     path.write_text(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -10,16 +11,17 @@ from hypothesis import strategies as st
 
 from gar import (
     Bm25Params,
+    Bm25Scorer,
     DenseVectors,
     DocMap,
     bm25_doc_topk,
     bm25_retrieve,
-    bm25_score,
     dense_topk,
     docmap_path,
     index_corpus,
     tokenize,
 )
+from gar.lexical import bm25_scores
 from oracles import bm25_all_scores, knn_row, reference_tokenize
 from synthdata import random_corpus
 
@@ -79,6 +81,16 @@ def test_index_shape():
     assert index.doc_terms[2] == ("dog", "red")
 
 
+def test_index_lookups_outside_the_corpus():
+    # a (term, doc) key past the last doc must not reach the next term's postings
+    index = index_corpus([("d1", "a b"), ("d2", "b")])
+    assert [index.term_frequency("a", doc) for doc in (-1, 2, 3)] == [0, 0, 0]
+    with pytest.raises(IndexError, match="out of range"):
+        bm25_scores(index, Bm25Params(), ["a"], [0, 3])
+    with pytest.raises(IndexError, match="out of range"):
+        bm25_scores(index, Bm25Params(), ["a"], [-1])
+
+
 def test_index_postings_in_corpus_order():
     index = index_corpus([(f"d{i}", "shared") for i in range(20)])
     assert list(index.postings["shared"]) == list(range(20))
@@ -99,7 +111,7 @@ def test_index_duplicate_docid_rejected():
 
 def test_single_doc_single_term_score():
     index = index_corpus([("d", "x")])
-    got = bm25_score(index, Bm25Params(), ["x"], 0)
+    got = bm25_scores(index, Bm25Params(), ["x"], [0])[0]
     # N=1, df=1, tf=1, len=avg: score reduces to the idf term
     assert got == math.log((1 - 1 + 0.5) / (1 + 0.5) + 1.0)
 
@@ -107,19 +119,19 @@ def test_single_doc_single_term_score():
 def test_repeated_query_terms_count_once():
     index = index_corpus([("d", "x y")])
     params = Bm25Params()
-    assert bm25_score(index, params, ["x", "x", "x"], 0) == bm25_score(
-        index, params, ["x"], 0
-    )
+    assert bm25_scores(index, params, ["x", "x", "x"], [0])[0] == bm25_scores(
+        index, params, ["x"], [0]
+    )[0]
 
 
 def test_score_zero_without_overlap():
     index = index_corpus([("d1", "a b"), ("d2", "c")])
-    assert bm25_score(index, Bm25Params(), ["z"], 0) == 0.0
+    assert bm25_scores(index, Bm25Params(), ["z"], [0])[0] == 0.0
 
 
 def test_score_all_empty_corpus():
     index = index_corpus([("d1", ""), ("d2", "")])
-    assert bm25_score(index, Bm25Params(), ["z"], 0) == 0.0
+    assert bm25_scores(index, Bm25Params(), ["z"], [0])[0] == 0.0
 
 
 def test_scores_match_reference_on_random_corpora():
@@ -134,7 +146,7 @@ def test_scores_match_reference_on_random_corpora():
         query = set(rng.choices([f"w{i:03d}" for i in range(14)], k=rng.randint(1, 4)))
         expected = bm25_all_scores(tokens, query)
         for doc in range(len(corpus)):
-            assert bm25_score(index, params, query, doc) == expected[doc]
+            assert bm25_scores(index, params, query, [doc])[0] == expected[doc]
 
 
 def test_scoring_is_deterministic():
@@ -142,8 +154,8 @@ def test_scoring_is_deterministic():
     corpus = random_corpus(rng, 40)
     index = index_corpus(corpus)
     params = Bm25Params()
-    first = [bm25_score(index, params, {"w001", "w002", "w003"}, d) for d in range(40)]
-    second = [bm25_score(index, params, {"w003", "w002", "w001"}, d) for d in range(40)]
+    first = [bm25_scores(index, params, {"w001", "w002", "w003"}, [d])[0] for d in range(40)]
+    second = [bm25_scores(index, params, {"w003", "w002", "w001"}, [d])[0] for d in range(40)]
     assert first == second
 
 
@@ -213,6 +225,121 @@ def test_doc_topk_matches_reference_rows():
             want = [n for n in knn_row(scores, doc, k, positive_only=True) if n != 0xFFFFFFFF]
             got = [other for other, _ in bm25_doc_topk(index, params, doc, k)]
             assert got == want, f"trial {trial} doc {doc}"
+
+
+# --- every BM25 route against the reference --------------------------------
+#
+# Retrieval, Bm25Scorer and doc-as-query share one cached weight table; each
+# must equal the loop-based reference exactly, scores included.
+
+SENTINEL_ID = 0xFFFFFFFF
+
+
+def tied_corpus(rng, n_docs):
+    """Small-vocabulary corpus in which about a quarter of the docs copy another."""
+    corpus = random_corpus(rng, n_docs, vocab_size=8, max_len=6)
+    for i in rng.sample(range(n_docs), n_docs // 4):
+        corpus[i] = (corpus[i][0], corpus[rng.randrange(n_docs)][1])
+    return corpus
+
+
+def reference_order(scores, self_id=-1):
+    """Every doc with a positive score, by (score desc, id asc)."""
+    return [d for d in knn_row(scores, self_id, len(scores), positive_only=True) if d != SENTINEL_ID]
+
+
+def tied_cut(rng, order, scores):
+    """A cut inside a run of tied scores when there is one, else any cut."""
+    cuts = [i for i in range(1, len(order)) if scores[order[i - 1]] == scores[order[i]]]
+    return (rng.choice(cuts), True) if cuts else (rng.randint(1, len(scores)), False)
+
+
+def random_query(rng):
+    # repeated terms, and terms no doc contains
+    return rng.choices([f"w{i:03d}" for i in range(8)] + ["zzz", "unseen"], k=rng.randint(1, 6))
+
+
+def test_retrieve_matches_reference_at_tied_cuts():
+    rng = random.Random(31)
+    params = Bm25Params()
+    tied = 0
+    for trial in range(40):
+        corpus = tied_corpus(rng, rng.randint(2, 30))
+        index = index_corpus(corpus)
+        tokens = [reference_tokenize(text) for _, text in corpus]
+        words = random_query(rng)
+        scores = bm25_all_scores(tokens, set(words))
+        order = reference_order(scores)
+        top_n, at_tie = tied_cut(rng, order, scores)
+        tied += at_tie
+        got = bm25_retrieve(index, params, "q", " ".join(words), top_n)
+        assert got.pairs() == [(corpus[d][0], scores[d]) for d in order[:top_n]], f"trial {trial}"
+    assert tied >= 10
+
+
+def test_bm25_scorer_matches_reference():
+    rng = random.Random(37)
+    params = Bm25Params()
+    for trial in range(40):
+        corpus = tied_corpus(rng, rng.randint(1, 30))
+        index = index_corpus(corpus)
+        tokens = [reference_tokenize(text) for _, text in corpus]
+        words = random_query(rng)
+        scores = bm25_all_scores(tokens, set(words))
+        batch = rng.sample(range(len(corpus)), rng.randint(1, len(corpus)))
+        got = Bm25Scorer(index, params).score_batch("q", " ".join(words), [corpus[d][0] for d in batch])
+        assert got == [scores[d] for d in batch], f"trial {trial}"
+
+
+def test_doc_topk_matches_reference_at_tied_cuts():
+    rng = random.Random(41)
+    params = Bm25Params()
+    tied = 0
+    for trial in range(15):
+        corpus = tied_corpus(rng, rng.randint(2, 25))
+        index = index_corpus(corpus)
+        tokens = [reference_tokenize(text) for _, text in corpus]
+        for doc in range(len(corpus)):
+            scores = bm25_all_scores(tokens, set(tokens[doc]))
+            order = reference_order(scores, doc)
+            k_plus, at_tie = tied_cut(rng, order, scores)
+            tied += at_tie
+            got = bm25_doc_topk(index, params, doc, k_plus)
+            assert got == [(d, scores[d]) for d in order[:k_plus]], f"trial {trial} doc {doc}"
+    assert tied >= 20
+
+
+def test_all_empty_corpus_routes_do_not_divide_by_zero():
+    index = index_corpus([("a", ""), ("b", "?!"), ("c", "")])
+    assert index.avg_doc_length == 0
+    params = Bm25Params()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(bm25_retrieve(index, params, "q", "x y")) == 0
+        assert Bm25Scorer(index, params).score_batch("q", "x", ["c", "a"]) == [0.0, 0.0]
+        assert bm25_doc_topk(index, params, 1, 3) == []
+
+
+def test_two_parameter_sets_share_one_index():
+    rng = random.Random(43)
+    corpus = tied_corpus(rng, 30)
+    index = index_corpus(corpus)
+    tokens = [reference_tokenize(text) for _, text in corpus]
+    docids = [docid for docid, _ in corpus]
+    words = ["w001", "w002", "w005"]
+    default, steep = Bm25Params(), Bm25Params(k1=1.7, b=0.95)
+    want = {params: bm25_all_scores(tokens, set(words), params.k1, params.b) for params in (default, steep)}
+    assert want[default] != want[steep]
+    # alternate so each call finds the other parameter set's weights cached
+    for params in (default, steep, default, steep):
+        scores = want[params]
+        assert Bm25Scorer(index, params).score_batch("q", " ".join(words), docids) == scores
+        order = reference_order(scores)
+        assert bm25_retrieve(index, params, "q", " ".join(words), 10).pairs() == [
+            (docids[d], scores[d]) for d in order[:10]
+        ]
+        doc_scores = bm25_all_scores(tokens, set(tokens[3]), params.k1, params.b)
+        assert bm25_doc_topk(index, params, 3, 5) == [(d, doc_scores[d]) for d in reference_order(doc_scores, 3)[:5]]
 
 
 # --- dense vectors ----------------------------------------------------------

@@ -231,6 +231,18 @@ def test_backfill_empty_remainder():
     assert backfill([], [RankEntry("a", 1.0)]) == []
 
 
+def test_backfill_stays_strictly_below_scored_block_at_large_magnitude():
+    # at 1e12 a fixed 1e-6 step rounds away and ties the lowest scored doc
+    r0 = Ranking.from_pairs("q", [(f"d{i}", 6.0 - i) for i in range(6)])
+    scorer = MapScorer({f"d{i}": 1e12 + i for i in range(6)})
+    out = typical_rerank(r0, scorer, ReRankConfig(batch_size=2, budget=2))
+    assert out.docids() == ["d1", "d0", "d2", "d3", "d4", "d5"]
+    scores = [entry.score for entry in out]
+    assert scores[1] == 1e12
+    assert scores[1] > scores[2] > scores[3] > scores[4] > scores[5]
+    assert scores[2] == np.nextafter(1e12, -np.inf)
+
+
 @given(st.integers(1, 50), st.floats(-5, 5, allow_nan=False))
 def test_backfill_preserves_order_and_monotonicity(n, base):
     scored = [RankEntry("s", base)]
@@ -294,6 +306,16 @@ def test_scorer_bad_length_rejected():
     r0 = Ranking.from_pairs("q", [("a", 1.0), ("b", 0.5)])
     with pytest.raises(ValueError, match="scorer returned 1 scores"):
         typical_rerank(r0, ShortScorer())
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_scorer_non_finite_score_rejected(bad):
+    # a NaN used to sort above real scores: d0 (0.0) landed above d3 (3.0)
+    r0 = Ranking.from_pairs("q", [(f"d{i}", 6.0 - i) for i in range(6)])
+    scores = {f"d{i}": float(i) for i in range(6)}
+    scores["d1"] = bad
+    with pytest.raises(ValueError, match=r"non-finite score .* query 'q' doc 'd1'"):
+        typical_rerank(r0, MapScorer(scores), ReRankConfig(batch_size=2, budget=4))
 
 
 # --- graph-adaptive re-ranking ----------------------------------------------

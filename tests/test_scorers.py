@@ -11,11 +11,11 @@ from gar import (
     OracleScorer,
     RecordingScorer,
     ScoreCache,
-    bm25_score,
     cached_scorer,
     index_corpus,
     oracle_scorer,
 )
+from gar.lexical import bm25_scores
 from synthdata import HashScorer
 
 
@@ -81,6 +81,14 @@ def test_cache_load_errors(tmp_path):
     agreeing = tmp_path / "same.tsv"
     agreeing.write_text("q1\ta\t1.0\nq1\ta\t1.0\n")
     assert len(ScoreCache.load(agreeing)) == 1
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_cache_load_rejects_non_finite_score(tmp_path, raw):
+    path = tmp_path / "cache.tsv"
+    path.write_text(f"q1\ta\t1.0\nq1\tb\t{raw}\n")
+    with pytest.raises(ValueError, match=r"line 2: non-finite score .* query 'q1' doc 'b'"):
+        ScoreCache.load(path)
 
 
 def test_cached_scorer(tmp_path):
@@ -157,7 +165,7 @@ def test_bm25_scorer_matches_direct_scoring():
     scorer = Bm25Scorer(index, params)
     got = scorer.score_batch("q", "red dog", ["d3", "d1", "d2"])
     want = [
-        bm25_score(index, params, {"red", "dog"}, index.docmap.internal(d))
+        bm25_scores(index, params, {"red", "dog"}, [index.docmap.internal(d)])[0]
         for d in ["d3", "d1", "d2"]
     ]
     assert got == want
