@@ -62,7 +62,6 @@ from .rerank import (
     BACKFILL_EPSILON,
     Bm25Scorer,
     CachedScorer,
-    Frontier,
     OracleScorer,
     RecordingScorer,
     ReRankConfig,
@@ -70,9 +69,7 @@ from .rerank import (
     Scorer,
     TraceRow,
     backfill,
-    cached_scorer,
     gar_rerank,
-    oracle_scorer,
     rerank_run,
     trace_rows,
     typical_rerank,
@@ -91,7 +88,6 @@ __all__ = [
     "DEFAULT_K",
     "DenseVectors",
     "DocMap",
-    "Frontier",
     "InvertedIndex",
     "LatencyReport",
     "MetricValues",
@@ -111,7 +107,6 @@ __all__ = [
     "bm25_doc_topk",
     "bm25_retrieve",
     "build_graph",
-    "cached_scorer",
     "cluster_matrix",
     "dense_topk",
     "docmap_path",
@@ -124,7 +119,6 @@ __all__ = [
     "map_at",
     "metric_fn",
     "ndcg",
-    "oracle_scorer",
     "precompute_cache",
     "read_corpus",
     "read_qrels",

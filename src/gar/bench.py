@@ -7,6 +7,7 @@ where neural scoring cost is identical in either mode.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -14,7 +15,6 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .graph import CorpusGraph
 from .ranking import Ranking
@@ -52,6 +52,41 @@ class LatencyReport:
     stats: tuple[BudgetStats, ...]
     # (budget, mode, run_idx, qid, micros) for every timed query
     rows: tuple[tuple[int, str, int, str, float], ...]
+
+
+def _t_central(t: float, df: int) -> float:
+    """P(|T| <= t) for Student's t with integer df (Abramowitz & Stegun 26.7.3-4)."""
+    theta = math.atan(t / math.sqrt(df))
+    c2 = math.cos(theta) ** 2
+    if df % 2 == 0:
+        term = total = 1.0
+        for j in range(2, df - 1, 2):
+            term *= (j - 1) / j * c2
+            total += term
+        return math.sin(theta) * total
+    term = total = math.cos(theta) if df > 1 else 0.0
+    for j in range(3, df - 1, 2):
+        term *= (j - 1) / j * c2
+        total += term
+    return 2.0 / math.pi * (theta + math.sin(theta) * total)
+
+
+def t_quantile(p: float, df: int) -> float:
+    """The p-quantile of Student's t with integer df >= 1, for 0.5 <= p < 1."""
+    if df < 1 or not 0.5 <= p < 1.0:
+        raise ValueError(f"need df >= 1 and 0.5 <= p < 1, got df={df}, p={p}")
+    target = 2.0 * p - 1.0
+    lo, hi = 0.0, 1.0
+    while _t_central(hi, df) < target:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if _t_central(mid, df) < target:
+            lo = mid
+        else:
+            hi = mid
 
 
 def precompute_cache(
@@ -157,7 +192,7 @@ def latency_bench(
             )
             mean = float(diffs.mean())
             sd = float(diffs.std(ddof=1))
-            half = float(scipy_stats.t.ppf(0.975, repeats - 1)) * sd / repeats**0.5
+            half = t_quantile(0.975, repeats - 1) * sd / repeats**0.5
             stats.append(
                 BudgetStats(
                     budget=budget,

@@ -22,10 +22,11 @@ from .lexical import Bm25Params, DenseVectors, InvertedIndex, bm25_doc_scores, b
 from .ranking import Ranking
 from .rerank import (
     Bm25Scorer,
+    CachedScorer,
+    OracleScorer,
     ReRankConfig,
+    ScoreCache,
     Scorer,
-    cached_scorer,
-    oracle_scorer,
     rerank_run,
     trace_rows,
 )
@@ -53,12 +54,12 @@ def _load_index(args: argparse.Namespace) -> InvertedIndex:
 def _make_scorer(args: argparse.Namespace) -> Scorer:
     spec = args.scorer
     if spec.startswith("cache:"):
-        return cached_scorer(spec[len("cache:"):])
+        return CachedScorer(ScoreCache.load(spec[len("cache:"):]))
     if spec.startswith("oracle:"):
         qrels = formats.read_qrels(spec[len("oracle:"):])
         if args.noise_sd > 0 and args.seed is None:
             raise ValueError("--seed is required when --noise-sd > 0")
-        return oracle_scorer(qrels, args.noise_sd, args.seed)
+        return OracleScorer(qrels, args.noise_sd, args.seed)
     if spec == "bm25":
         return Bm25Scorer(_load_index(args), _bm25_params(args))
     raise ValueError(f"unknown scorer {spec!r}; use cache:<path>, bm25, or oracle:<qrels>")

@@ -29,7 +29,7 @@ class DocMap:
         for pos, docid in enumerate(ids):
             if not docid:
                 raise ValueError(f"empty docid at position {pos}")
-            if any(ch.isspace() for ch in docid):
+            if docid.split() != [docid]:
                 raise ValueError(f"docid contains whitespace: {docid!r}")
             if docid in index:
                 raise ValueError(f"duplicate docid: {docid!r}")

@@ -20,7 +20,10 @@ VERSION = 1
 SENTINEL = 0xFFFFFFFF
 DEFAULT_K = 8
 
-_HEADER = struct.Struct("<4sIII")  # magic, version, n_docs, k
+# rows per block of the duplicate-neighbour check
+_VALIDATE_BLOCK_ROWS = 1 << 16
+
+_HEADER = struct.Struct("<4sIII")  # magic, version, rows, columns; shared with GARV
 
 # provider(internal_id, count) -> up to `count` (internal_id, similarity)
 # pairs for the given doc, most similar first; may include the doc itself.
@@ -76,9 +79,13 @@ class CorpusGraph:
         if k > 1 and (real[:, 1:] & ~real[:, :-1]).any():
             row = int(np.argwhere(real[:, 1:] & ~real[:, :-1])[0][0])
             raise ValueError(f"row {row} has a neighbour after sentinel padding")
-        for row in range(n_docs):
-            deg = int(real[row].sum())
-            if deg and len(set(edges[row, :deg].tolist())) != deg:
+        # sorted rows keep the sentinels last, so a duplicate is two equal
+        # adjacent real ids; blocks bound the sorted copy at any corpus size
+        for start in range(0, n_docs, _VALIDATE_BLOCK_ROWS):
+            block = np.sort(edges[start : start + _VALIDATE_BLOCK_ROWS], axis=1)
+            dup = (block[:, 1:] == block[:, :-1]) & (block[:, 1:] != SENTINEL)
+            if dup.any():
+                row = start + int(np.argwhere(dup)[0][0])
                 raise ValueError(f"row {row} has duplicate neighbours")
 
     @property
@@ -124,36 +131,41 @@ class CorpusGraph:
 
     def save(self, path: str | Path) -> None:
         """Write the edge table to `path` and the docmap to `path`.docs."""
-        path = Path(path)
-        payload = self._edges.astype("<u4").tobytes()
-        with open(path, "wb") as fh:
-            fh.write(_HEADER.pack(MAGIC, VERSION, self.n_docs, self.k))
-            fh.write(payload)
-        self._docmap.save(docmap_path(path))
+        _write_table(Path(path), MAGIC, "<u4", self._edges, self._docmap)
 
     @classmethod
     def load(cls, path: str | Path) -> "CorpusGraph":
-        path = Path(path)
-        with open(path, "rb") as fh:
-            header = fh.read(_HEADER.size)
-            if len(header) < _HEADER.size:
-                raise ValueError(f"truncated header: expected {_HEADER.size} bytes, got {len(header)}")
-            magic, version, n_docs, k = _HEADER.unpack(header)
-            if magic != MAGIC:
-                raise ValueError(f"bad magic: expected {MAGIC!r}, got {magic!r}")
-            if version != VERSION:
-                raise ValueError(f"unsupported version: {version}")
-            payload = fh.read()
-        expected = 4 * k * n_docs
-        if len(payload) != expected:
-            raise ValueError(f"truncated edge table: expected {expected} bytes, got {len(payload)}")
-        edges = np.frombuffer(payload, dtype="<u4").reshape(n_docs, k)
-        docmap = DocMap.load(docmap_path(path))
-        if len(docmap) != n_docs:
-            raise ValueError(
-                f"docmap lists {len(docmap)} docs but edge file declares {n_docs}"
-            )
-        return cls(edges, docmap)
+        return cls(*_read_table(Path(path), MAGIC, "<u4", "edge"))
+
+
+def _write_table(path: Path, magic: bytes, dtype: str, table: np.ndarray, docmap: DocMap) -> None:
+    """Write a 2-D table after a 16-byte header, and its docmap to the sidecar."""
+    with open(path, "wb") as fh:
+        fh.write(_HEADER.pack(magic, VERSION, *table.shape))
+        fh.write(table.astype(dtype).tobytes())
+    docmap.save(docmap_path(path))
+
+
+def _read_table(path: Path, magic: bytes, dtype: str, what: str) -> tuple[np.ndarray, DocMap]:
+    """Table and docmap written by `_write_table`; `what` names the table in errors."""
+    with open(path, "rb") as fh:
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise ValueError(f"truncated header: expected {_HEADER.size} bytes, got {len(header)}")
+        got, version, rows, cols = _HEADER.unpack(header)
+        if got != magic:
+            raise ValueError(f"bad magic: expected {magic!r}, got {got!r}")
+        if version != VERSION:
+            raise ValueError(f"unsupported version: {version}")
+        payload = fh.read()
+    expected = np.dtype(dtype).itemsize * rows * cols
+    if len(payload) != expected:
+        raise ValueError(f"truncated {what} table: expected {expected} bytes, got {len(payload)}")
+    table = np.frombuffer(payload, dtype=dtype).reshape(rows, cols)
+    docmap = DocMap.load(docmap_path(path))
+    if len(docmap) != rows:
+        raise ValueError(f"docmap lists {len(docmap)} docs but {what} file declares {rows}")
+    return table, docmap
 
 
 def docmap_path(path: str | Path) -> Path:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-import struct
 from array import array
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Mapping, Sequence
@@ -19,14 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from .docmap import DocMap
-from .graph import docmap_path
+from .graph import _read_table, _write_table
 from .ranking import Ranking
 
 _TOKEN_RE = re.compile(r"[^\W_]+")
 
 VEC_MAGIC = b"GARV"
-VEC_VERSION = 1
-_VEC_HEADER = struct.Struct("<4sIII")  # magic, version, n_docs, dim
 
 
 def tokenize(text: str) -> list[str]:
@@ -392,35 +389,11 @@ class DenseVectors:
     # --- binary format: 16-byte header then n_docs*dim little-endian float32 ---
 
     def save(self, path: str | Path) -> None:
-        path = Path(path)
-        with open(path, "wb") as fh:
-            fh.write(_VEC_HEADER.pack(VEC_MAGIC, VEC_VERSION, self.n_docs, self.dim))
-            fh.write(self._matrix.astype("<f4").tobytes())
-        self._docmap.save(docmap_path(path))
+        _write_table(Path(path), VEC_MAGIC, "<f4", self._matrix, self._docmap)
 
     @classmethod
     def load(cls, path: str | Path) -> "DenseVectors":
-        path = Path(path)
-        with open(path, "rb") as fh:
-            header = fh.read(_VEC_HEADER.size)
-            if len(header) < _VEC_HEADER.size:
-                raise ValueError(f"truncated header: expected {_VEC_HEADER.size} bytes, got {len(header)}")
-            magic, version, n_docs, dim = _VEC_HEADER.unpack(header)
-            if magic != VEC_MAGIC:
-                raise ValueError(f"bad magic: expected {VEC_MAGIC!r}, got {magic!r}")
-            if version != VEC_VERSION:
-                raise ValueError(f"unsupported version: {version}")
-            payload = fh.read()
-        expected = 4 * n_docs * dim
-        if len(payload) != expected:
-            raise ValueError(f"truncated vector table: expected {expected} bytes, got {len(payload)}")
-        matrix = np.frombuffer(payload, dtype="<f4").reshape(n_docs, dim)
-        docmap = DocMap.load(docmap_path(path))
-        if len(docmap) != n_docs:
-            raise ValueError(
-                f"docmap lists {len(docmap)} docs but vector file declares {n_docs}"
-            )
-        return cls(matrix, docmap)
+        return cls(*_read_table(Path(path), VEC_MAGIC, "<f4", "vector"))
 
 
 def dense_topk(vectors: DenseVectors, doc: int, k_plus: int) -> list[tuple[int, float]]:

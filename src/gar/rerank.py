@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -129,11 +128,6 @@ class CachedScorer:
         return out
 
 
-def cached_scorer(path: str | Path, default: float | None = None) -> CachedScorer:
-    """Scorer backed by a score-cache file."""
-    return CachedScorer(ScoreCache.load(path), default)
-
-
 class OracleScorer:
     """Scores docs by relevance label, plus optional seeded Gaussian noise.
 
@@ -169,11 +163,6 @@ class OracleScorer:
         return float(rng.normal(0.0, self._noise_sd))
 
 
-def oracle_scorer(qrels: Qrels, noise_sd: float = 0.0, seed: int | None = None) -> OracleScorer:
-    """Relevance-label scorer for recall-oriented experiments."""
-    return OracleScorer(qrels, noise_sd, seed)
-
-
 class Bm25Scorer:
     """Scores docs against the query text with the native BM25 index."""
 
@@ -205,58 +194,6 @@ class RecordingScorer:
 
     def to_cache(self) -> ScoreCache:
         return ScoreCache(self.records)
-
-
-# --- frontier -------------------------------------------------------------
-
-
-class Frontier:
-    """Max-priority queue of candidate docs discovered through the graph.
-
-    Pop order is priority descending, then insertion sequence ascending,
-    then docid ascending. Re-inserting an existing doc keeps the higher
-    priority (max-merge); a strictly higher priority also takes over the
-    recorded source. The sequence number is assigned at first insertion
-    and survives merges.
-    """
-
-    __slots__ = ("_heap", "_entries", "_counter")
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[float, int, int]] = []
-        # doc -> (priority, seq, source); the heap may hold stale tuples
-        self._entries: dict[int, tuple[float, int, str | None]] = {}
-        self._counter = itertools.count()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, doc: int) -> bool:
-        return doc in self._entries
-
-    def push(self, doc: int, priority: float, source: str | None = None) -> None:
-        entry = self._entries.get(doc)
-        if entry is None:
-            seq = next(self._counter)
-        elif priority > entry[0]:
-            seq = entry[1]
-        else:
-            return
-        self._entries[doc] = (priority, seq, source)
-        heapq.heappush(self._heap, (-priority, seq, doc))
-
-    def discard(self, doc: int) -> None:
-        """Drop a doc if present; stale heap tuples are skipped lazily at pop."""
-        self._entries.pop(doc, None)
-
-    def pop(self) -> tuple[int, float, str | None]:
-        while self._heap:
-            negp, seq, doc = heapq.heappop(self._heap)
-            entry = self._entries.get(doc)
-            if entry is not None and entry[0] == -negp and entry[1] == seq:
-                del self._entries[doc]
-                return doc, entry[0], entry[2]
-        raise IndexError("pop from empty frontier")
 
 
 # --- re-ranking -----------------------------------------------------------
@@ -293,33 +230,56 @@ def _rerank(
         raise ValueError(f"empty initial ranking for query {r0.qid!r}")
     qid = r0.qid
     order = r0.docids()
-    # a graph without edges can never populate the frontier, so the whole
-    # expansion path is skipped and the loop degrades to plain re-ranking
+    # Docs are keyed by integer id: a graph doc by its internal id, and a
+    # pool doc outside the graph by an id past n_docs, assigned when the
+    # cursor draws it; such a doc is scored but never expands. A graph
+    # without edges can never populate the frontier, so it is not consulted
+    # at all and the loop runs exactly as plain re-ranking.
     expand = graph is not None and graph.n_edges > 0
-    docmap = graph.docmap if graph is not None else None
+    lookup = graph.docmap.get if expand else {}.get
+    ids = graph.docmap.ids if expand else ()
+    n_docs = len(ids)
+    outside: list[str] = []
 
-    scored: dict[str, float] = {}
-    origin: dict[str, tuple[str, str | None]] = {}
-    frontier = Frontier()
+    scored: dict[int, float] = {}
+    via: dict[int, int] = {}  # frontier doc -> the scored doc that surfaced it
+    # Frontier: doc -> (priority, seq, source) plus a heap of (-priority, seq,
+    # doc). Pop order is priority descending, then first insertion. A re-push
+    # keeps the higher priority; a strictly higher one also takes over the
+    # source, and seq stays that of the first insertion. A doc leaves the
+    # frontier only to be scored and is never pushed again, so a heap tuple
+    # whose doc has no entry is stale.
+    frontier: dict[int, tuple[float, int, int]] = {}
+    heap: list[tuple[float, int, int]] = []
+    seq = 0
     cursor = 0
 
-    def draw_initial(want: int) -> list[str]:
+    def docid_of(doc: int) -> str:
+        return ids[doc] if doc < n_docs else outside[doc - n_docs]
+
+    def draw_initial(want: int) -> list[int]:
         nonlocal cursor
-        batch: list[str] = []
+        batch: list[int] = []
         while cursor < len(order) and len(batch) < want:
             docid = order[cursor]
             cursor += 1
-            if docid not in scored:
-                batch.append(docid)
+            doc = lookup(docid)
+            if doc is None:
+                doc = n_docs + len(outside)
+                outside.append(docid)
+            if doc not in scored:
+                frontier.pop(doc, None)
+                batch.append(doc)
         return batch
 
-    def draw_frontier(want: int) -> list[str]:
-        batch: list[str] = []
-        while len(frontier) and len(batch) < want:
-            doc, _, source = frontier.pop()
-            docid = docmap.external(doc)
-            batch.append(docid)
-            origin[docid] = (PROV_FRONTIER, source)
+    def draw_frontier(want: int) -> list[int]:
+        batch: list[int] = []
+        while frontier and len(batch) < want:
+            doc = heapq.heappop(heap)[2]
+            entry = frontier.pop(doc, None)
+            if entry is not None:
+                batch.append(doc)
+                via[doc] = entry[2]
         return batch
 
     pool_is_initial = True
@@ -331,38 +291,44 @@ def _rerank(
             batch = draw_frontier(want) or draw_initial(want)
         if not batch:
             break
+        names = [docid_of(doc) for doc in batch]
         try:
-            scores = scorer.score_batch(qid, query_text, batch)
+            scores = scorer.score_batch(qid, query_text, names)
         except Exception as exc:
-            raise RuntimeError(f"scorer failed on query {qid!r} batch {batch}") from exc
+            raise RuntimeError(f"scorer failed on query {qid!r} batch {names}") from exc
         if len(scores) != len(batch):
             raise ValueError(
                 f"scorer returned {len(scores)} scores for a batch of {len(batch)} (query {qid!r})"
             )
-        for docid, score in zip(batch, scores):
-            score = float(score)
+        scores = [float(score) for score in scores]
+        for doc, docid, score in zip(batch, names, scores):
             if not math.isfinite(score):
                 raise ValueError(f"scorer returned non-finite score {score!r} for query {qid!r} doc {docid!r}")
-            scored[docid] = score
+            scored[doc] = score
         if expand:
-            for docid in batch:
-                internal = docmap.get(docid)
-                if internal is None:
+            for doc, priority in zip(batch, scores):
+                if doc >= n_docs:
                     continue
-                frontier.discard(internal)
-                priority = scored[docid]
-                for nb in graph.neighbours(internal):
-                    nb_ext = docmap.external(nb)
-                    if nb_ext not in scored:
-                        frontier.push(nb, priority, docid)
+                for nb in graph.neighbours(doc):
+                    if nb in scored:
+                        continue
+                    entry = frontier.get(nb)
+                    if entry is None:
+                        frontier[nb] = (priority, seq, doc)
+                        heapq.heappush(heap, (-priority, seq, nb))
+                        seq += 1
+                    elif priority > entry[0]:
+                        frontier[nb] = (priority, entry[1], doc)
+                        heapq.heappush(heap, (-priority, entry[1], nb))
         pool_is_initial = not pool_is_initial
 
-    ranked = sorted(scored.items(), key=lambda pair: (-pair[1], pair[0]))
-    entries = [
-        RankEntry(docid, score, *origin.get(docid, (PROV_INITIAL, None)))
-        for docid, score in ranked
-    ]
-    remainder = [docid for docid in order if docid not in scored]
+    entries = []
+    for negscore, docid, doc in sorted((-score, docid_of(doc), doc) for doc, score in scored.items()):
+        if doc in via:
+            entries.append(RankEntry(docid, -negscore, PROV_FRONTIER, ids[via[doc]]))
+        else:
+            entries.append(RankEntry(docid, -negscore))
+    remainder = [docid for docid in order[cursor:] if lookup(docid) not in scored]
     entries.extend(backfill(remainder, entries))
     return Ranking(qid, entries)
 

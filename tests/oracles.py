@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from typing import Callable
 
 SENTINEL = 0xFFFFFFFF  # deliberately redefined rather than imported
 
@@ -101,6 +102,84 @@ def closure(seed_ids: list[int], edge_rows: list[list[int]]) -> set[int]:
                 seen.add(nb)
                 stack.append(nb)
     return seen
+
+
+# --- adaptive re-ranking ----------------------------------------------------
+
+
+def reference_rerank(
+    pool: list[str],
+    score: Callable[[list[str]], list[float]],
+    neighbours: dict[str, list[str]],
+    batch_size: int,
+    budget: int,
+) -> list[tuple[str, float, str, str | None]]:
+    """Algorithm 1 on docid strings, with a plain dict as its frontier.
+
+    Batches alternate between the pool (in pool order) and the frontier;
+    when the turn's side is empty the other one is drawn instead. Each
+    scored doc offers its unscored neighbours to the frontier at its own
+    score: a new doc is numbered in order of first arrival, and a known
+    one rises to a strictly higher score together with its source, keeping
+    its number. The frontier yields the highest score, then the lowest
+    number, found by a linear `min`. `neighbours` maps graph docs only; a
+    pool doc without an entry is scored and never expands. Returns
+    (docid, score, provenance, source) for scored docs by (score desc,
+    docid asc), then the unscored pool docs stepped down below them.
+    """
+    scored: dict[str, float] = {}
+    source: dict[str, str] = {}
+    frontier: dict[str, tuple[float, int, str]] = {}
+    arrivals = 0
+    cursor = 0
+    from_pool = True
+    while len(scored) < budget:
+        want = min(batch_size, budget - len(scored))
+        batch: list[str] = []
+        for side in ((True, False) if from_pool else (False, True)):
+            if side:
+                while cursor < len(pool) and len(batch) < want:
+                    if pool[cursor] not in scored:
+                        batch.append(pool[cursor])
+                    cursor += 1
+            else:
+                while frontier and len(batch) < want:
+                    best = min(frontier, key=lambda d: (-frontier[d][0], frontier[d][1]))
+                    source[best] = frontier.pop(best)[2]
+                    batch.append(best)
+            if batch:
+                break
+        if not batch:
+            break
+        for docid, value in zip(batch, score(batch)):
+            scored[docid] = value
+            frontier.pop(docid, None)
+        for docid in batch:
+            for nb in neighbours.get(docid, []):
+                if nb in scored:
+                    continue
+                if nb not in frontier:
+                    frontier[nb] = (scored[docid], arrivals, docid)
+                    arrivals += 1
+                elif scored[docid] > frontier[nb][0]:
+                    frontier[nb] = (scored[docid], frontier[nb][1], docid)
+        from_pool = not from_pool
+
+    out = [
+        (docid, scored[docid], "frontier" if docid in source else "initial", source.get(docid))
+        for docid in sorted(scored, key=lambda d: (-scored[d], d))
+    ]
+    # backfill: steps of 1e-6 below the lowest score, or one float spacing
+    # where 1e-6 no longer registers
+    base = min(scored.values(), default=0.0)
+    previous = base
+    for i, docid in enumerate(d for d in pool if d not in scored):
+        value = base - (i + 1) * 1e-6
+        if value >= previous:
+            value = math.nextafter(previous, -math.inf)
+        out.append((docid, value, "initial", None))
+        previous = value
+    return out
 
 
 # --- metrics ----------------------------------------------------------------

@@ -33,7 +33,7 @@ from gar import (
     latency_bench,
     map_at,
     ndcg,
-    oracle_scorer,
+    OracleScorer,
     precompute_cache,
     recall_at,
     rerank_run,
@@ -373,7 +373,7 @@ def test_criterion_07_planted_clusters_recall_gain(capsys):
         graph = build_graph(
             index.docmap, lambda d, c: bm25_doc_topk(index, params, d, c), 8
         )
-        scorer = oracle_scorer(inst.qrels)
+        scorer = OracleScorer(inst.qrels)
         typical_run = {}
         gar_run = {}
         for qid, r0 in pools.items():
@@ -494,7 +494,7 @@ def test_criterion_10_sweep_protocol(capsys, tmp_path):
     graph16 = build_graph(
         index.docmap, lambda d, c: bm25_doc_topk(index, params, d, c), 16
     )
-    scorer = oracle_scorer(inst.qrels)
+    scorer = OracleScorer(inst.qrels)
     config = ReRankConfig(batch_size=16, budget=100)
 
     k_values = list(range(1, 17))

@@ -1,6 +1,13 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import gar
 
 from gar import (
     CachedScorer,
@@ -12,6 +19,7 @@ from gar import (
     typical_rerank,
     write_latency_report,
 )
+from gar.bench import t_quantile
 from synthdata import HashScorer, bench_instance, random_graph
 
 import random
@@ -47,6 +55,27 @@ def test_precompute_cache_scores_agree_with_base_scorer():
     for qid, pairs in runs.items():
         for docid, _ in pairs:
             assert cache.lookup(qid, docid) == base.score_batch(qid, "", [docid])[0]
+
+
+@pytest.mark.parametrize(
+    "df, table", [(1, 12.706), (2, 4.303), (9, 2.262), (30, 2.042), (120, 1.980)]
+)
+def test_t_quantile_matches_published_table(df, table):
+    # two-sided 95% critical values of Student's t
+    assert t_quantile(0.975, df) == pytest.approx(table, abs=1e-3)
+
+
+def test_t_quantile_median_and_validation():
+    assert t_quantile(0.5, 7) == 0.0
+    for df, p in [(0, 0.975), (3, 0.4), (3, 1.0)]:
+        with pytest.raises(ValueError, match="df >= 1"):
+            t_quantile(p, df)
+
+
+def test_import_loads_no_scipy():
+    env = dict(os.environ, PYTHONPATH=str(Path(gar.__file__).parent.parent))
+    code = "import gar, gar.cli, sys; assert not [m for m in sys.modules if m.startswith('scipy')]"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_latency_bench_report_shape():

@@ -140,10 +140,10 @@ def test_full_pipeline(workdir, capsys):
 
     cache_path = workdir / "cache.tsv"
     graph_obj = CorpusGraph.load(graph)
-    from gar import oracle_scorer
+    from gar import OracleScorer
 
     cache = precompute_cache(
-        read_run(run0), oracle_scorer({}, 0.5, seed=3), graph_obj,
+        read_run(run0), OracleScorer({}, 0.5, seed=3), graph_obj,
         batch_size=2, max_budget=8,
     )
     cache.save(cache_path)

@@ -55,7 +55,7 @@ def test_empty_docid_rejected():
 
 
 def test_whitespace_docid_rejected():
-    for bad in ["a b", "a\tb", "a\n"]:
+    for bad in ["a b", "a\tb", "a\n", "a\u00a0b", "a\u2003b", "a\u3000b", "a\x1cb"]:
         with pytest.raises(ValueError, match="whitespace"):
             DocMap([bad])
 

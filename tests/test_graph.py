@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gar import SENTINEL, CorpusGraph, DocMap, build_graph, docmap_path, graph_file_size
+from gar.graph import _VALIDATE_BLOCK_ROWS
 from synthdata import random_graph
 
 
@@ -57,8 +58,41 @@ def test_validation_neighbour_after_sentinel():
 
 
 def test_validation_duplicate_neighbour():
-    with pytest.raises(ValueError, match="duplicate"):
-        make_graph([[1, 1], [SENTINEL, SENTINEL]])
+    for rows in ([[1, 1], [SENTINEL] * 2], [[1, 2, 1], [SENTINEL] * 3, [SENTINEL] * 3]):
+        with pytest.raises(ValueError, match="row 0 has duplicate"):
+            make_graph(rows)
+
+
+def test_validation_duplicate_in_last_row_of_many_blocks():
+    # more rows than one validation block, and only the last row is bad
+    n = _VALIDATE_BLOCK_ROWS + 3
+    ids = np.arange(n, dtype=np.uint32)
+    edges = np.stack([(ids + 1) % n, (ids + 2) % n, (ids + 3) % n], axis=1)
+    edges[-1, 2] = edges[-1, 0]
+    docmap = DocMap(f"d{i}" for i in range(n))
+    with pytest.raises(ValueError, match=f"row {n - 1} has duplicate"):
+        CorpusGraph(edges, docmap)
+    # repeated sentinels are padding, not duplicates
+    edges[0, 1:] = SENTINEL
+    edges[-1, 1:] = SENTINEL
+    assert CorpusGraph(edges, docmap).n_edges == 3 * n - 4
+
+
+@given(
+    st.integers(2, 6).flatmap(
+        lambda n: st.lists(st.lists(st.integers(1, n - 1), max_size=3), min_size=n, max_size=n)
+    )
+)
+def test_validation_duplicates_match_set_check(offsets):
+    # row d lists (d + offset) % n, so no self edges; padded to width 3
+    n = len(offsets)
+    rows = [[(d + o) % n for o in offs] + [SENTINEL] * (3 - len(offs)) for d, offs in enumerate(offsets)]
+    bad = [d for d, row in enumerate(offsets) if len(set(row)) != len(row)]
+    if bad:
+        with pytest.raises(ValueError, match=f"row {bad[0]} has duplicate"):
+            make_graph(rows)
+    else:
+        assert make_graph(rows).n_edges == sum(map(len, offsets))
 
 
 def test_validation_row_count_mismatch():

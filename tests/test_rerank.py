@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gar import (
@@ -13,7 +13,6 @@ from gar import (
     PROV_INITIAL,
     CorpusGraph,
     DocMap,
-    Frontier,
     RankEntry,
     Ranking,
     ReRankConfig,
@@ -24,7 +23,7 @@ from gar import (
     trace_rows,
     typical_rerank,
 )
-from oracles import closure
+from oracles import closure, reference_rerank
 from synthdata import (
     CountingScorer,
     FailingScorer,
@@ -80,133 +79,6 @@ def test_config_validation():
         ReRankConfig(batch_size=0)
     with pytest.raises(ValueError, match="budget"):
         ReRankConfig(budget=0)
-
-
-# --- Frontier ---------------------------------------------------------------
-
-
-def test_frontier_pop_order():
-    f = Frontier()
-    f.push(1, 0.5, "a")
-    f.push(2, 0.9, "b")
-    f.push(3, 0.5, "c")
-    assert f.pop() == (2, 0.9, "b")
-    # equal priority: first-inserted wins
-    assert f.pop() == (1, 0.5, "a")
-    assert f.pop() == (3, 0.5, "c")
-    with pytest.raises(IndexError, match="empty frontier"):
-        f.pop()
-
-
-def test_frontier_max_merge_keeps_higher():
-    f = Frontier()
-    f.push(1, 0.9, "a")
-    f.push(1, 0.5, "b")
-    assert len(f) == 1
-    assert f.pop() == (1, 0.9, "a")
-
-
-def test_frontier_equal_priority_keeps_first_source():
-    f = Frontier()
-    f.push(1, 0.5, "a")
-    f.push(1, 0.5, "b")
-    assert f.pop() == (1, 0.5, "a")
-
-
-def test_frontier_higher_priority_takes_source_keeps_seq():
-    f = Frontier()
-    f.push(1, 0.5, "a")
-    f.push(2, 1.0, "b")
-    f.push(1, 1.0, "c")
-    # doc 1 rises to 1.0 but keeps its older sequence number, so it now
-    # pops before doc 2 at the same priority
-    assert f.pop() == (1, 1.0, "c")
-    assert f.pop() == (2, 1.0, "b")
-
-
-def test_frontier_discard():
-    f = Frontier()
-    f.push(1, 0.9)
-    f.push(2, 0.5)
-    f.discard(1)
-    f.discard(7)  # absent: no-op
-    assert 1 not in f
-    assert 2 in f
-    assert len(f) == 1
-    assert f.pop()[0] == 2
-
-
-def test_frontier_reinsert_after_discard_gets_fresh_seq():
-    f = Frontier()
-    f.push(1, 0.5)
-    f.discard(1)
-    f.push(2, 0.5)
-    f.push(1, 0.5)
-    assert f.pop()[0] == 2
-    assert f.pop()[0] == 1
-
-
-class ModelFrontier:
-    """Dict-plus-sort reference model for the heap implementation."""
-
-    def __init__(self):
-        self.entries = {}
-        self.seq = 0
-
-    def push(self, doc, priority, source):
-        if doc not in self.entries:
-            self.entries[doc] = (priority, self.seq, source)
-            self.seq += 1
-        elif priority > self.entries[doc][0]:
-            _, seq, _ = self.entries[doc]
-            self.entries[doc] = (priority, seq, source)
-
-    def discard(self, doc):
-        self.entries.pop(doc, None)
-
-    def pop(self):
-        doc = min(
-            self.entries, key=lambda d: (-self.entries[d][0], self.entries[d][1], d)
-        )
-        priority, _, source = self.entries.pop(doc)
-        return doc, priority, source
-
-
-OPS = st.lists(
-    st.one_of(
-        st.tuples(
-            st.just("push"),
-            st.integers(0, 5),
-            st.sampled_from([0.0, 0.25, 0.5, 1.0, -1.0]),
-            st.sampled_from(["s1", "s2", None]),
-        ),
-        st.tuples(st.just("discard"), st.integers(0, 5)),
-        st.tuples(st.just("pop")),
-    ),
-    max_size=40,
-)
-
-
-@given(OPS)
-def test_frontier_matches_model(ops):
-    f = Frontier()
-    model = ModelFrontier()
-    for op in ops:
-        if op[0] == "push":
-            _, doc, priority, source = op
-            f.push(doc, priority, source)
-            model.push(doc, priority, source)
-        elif op[0] == "discard":
-            f.discard(op[1])
-            model.discard(op[1])
-        elif model.entries:
-            assert f.pop() == model.pop()
-        else:
-            with pytest.raises(IndexError):
-                f.pop()
-        assert len(f) == len(model.entries)
-    while model.entries:
-        assert f.pop() == model.pop()
 
 
 # --- backfill ---------------------------------------------------------------
@@ -452,6 +324,39 @@ def test_gar_remerge_updates_priority_and_source():
     assert {e.docid: e.source for e in out}["c"] == "b"
 
 
+def test_gar_equal_priority_keeps_first_source():
+    # c is discovered by a and then by b at the same score: a stays its
+    # source, so b's equal push does not replace it
+    docids = ["a", "b", "c"]
+    graph = graph_from_rows(docids, {0: [2], 1: [2]}, k=1)
+    r0 = Ranking.from_pairs("q", [("a", 2.0), ("b", 1.0)])
+    out = gar_rerank(
+        r0,
+        MapScorer({"a": 0.5, "b": 0.5, "c": 0.1}),
+        graph,
+        ReRankConfig(batch_size=2, budget=3),
+    )
+    assert {e.docid: e.source for e in out}["c"] == "a"
+
+
+def test_gar_higher_priority_takes_source_keeps_seq():
+    # a (0.5) surfaces x then y; b (0.9) surfaces z then y again. y rises to
+    # 0.9 with b as its source but keeps its place from a's push, so it
+    # pops ahead of z at the same priority
+    docids = ["a", "b", "x", "y", "z"]
+    graph = graph_from_rows(docids, {0: [2, 3], 1: [4, 3]}, k=2)
+    r0 = Ranking.from_pairs("q", [("a", 2.0), ("b", 1.0)])
+    counting = CountingScorer(
+        MapScorer({"a": 0.5, "b": 0.9, "x": 0.0, "y": 0.0, "z": 0.0})
+    )
+    out = gar_rerank(r0, counting, graph, ReRankConfig(batch_size=2, budget=4))
+    assert counting.batches == [["a", "b"], ["y", "z"]]
+    by_doc = {e.docid: e for e in out}
+    assert by_doc["y"].source == "b"
+    assert by_doc["z"].source == "b"
+    assert "x" not in by_doc
+
+
 def test_gar_unresolvable_pool_docs_score_without_expanding():
     docids = ["a", "b"]
     graph = graph_from_rows(docids, {0: [1]}, k=1)
@@ -532,6 +437,48 @@ def test_gar_budget_prefix_property():
         gar_rerank(r0, small, graph, ReRankConfig(config.batch_size, budget_lo))
         gar_rerank(r0, big, graph, ReRankConfig(config.batch_size, budget_hi))
         assert set(small.pairs) <= set(big.pairs), f"trial {trial}"
+
+
+@st.composite
+def rerank_instances(draw):
+    """Small sentinel-padded graph, a pool mixing graph and outside docs,
+    tie-prone scores, and a batch size and budget."""
+    n = draw(st.integers(1, 10))
+    k = draw(st.integers(1, 4))
+    docids = [f"g{i}" for i in range(n)]
+    rows = {}
+    for doc in range(n):
+        others = [j for j in range(n) if j != doc]
+        rows[doc] = draw(st.lists(st.sampled_from(others), unique=True, max_size=k)) if others else []
+    outside = [f"x{i}" for i in range(3)]
+    pool = draw(st.lists(st.sampled_from(docids + outside), unique=True, min_size=1))
+    scores = {d: draw(st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0])) for d in docids + outside}
+    config = ReRankConfig(batch_size=draw(st.integers(1, 4)), budget=draw(st.integers(1, 12)))
+    return docids, rows, k, pool, scores, config
+
+
+@settings(max_examples=300)
+@given(rerank_instances(), st.booleans())
+def test_rerank_matches_reference_model(instance, adaptive):
+    docids, rows, k, pool, scores, config = instance
+    graph = graph_from_rows(docids, rows, k)
+    r0 = Ranking.from_pairs("q", [(d, float(len(pool) - i)) for i, d in enumerate(pool)])
+    counting = CountingScorer(MapScorer(scores))
+    if adaptive:
+        out = gar_rerank(r0, counting, graph, config)
+        neighbours = {docids[doc]: [docids[nb] for nb in nbs] for doc, nbs in rows.items()}
+    else:
+        out = typical_rerank(r0, counting, config)
+        neighbours = {}
+    batches = []
+
+    def score(batch):
+        batches.append(list(batch))
+        return [scores[d] for d in batch]
+
+    want = reference_rerank(pool, score, neighbours, config.batch_size, config.budget)
+    assert counting.batches == batches
+    assert [(e.docid, e.score, e.provenance, e.source) for e in out] == want
 
 
 def test_rerank_run_handles_multiple_queries():

@@ -11,9 +11,7 @@ from gar import (
     OracleScorer,
     RecordingScorer,
     ScoreCache,
-    cached_scorer,
     index_corpus,
-    oracle_scorer,
 )
 from gar.lexical import bm25_scores
 from synthdata import HashScorer
@@ -102,7 +100,7 @@ def test_cached_scorer(tmp_path):
 
     path = tmp_path / "cache.tsv"
     cache.save(path)
-    assert cached_scorer(path).score_batch("q", "", ["a"]) == [1.5]
+    assert CachedScorer(ScoreCache.load(path)).score_batch("q", "", ["a"]) == [1.5]
 
 
 # --- OracleScorer -------------------------------------------------------------
@@ -112,7 +110,7 @@ QRELS = {"q1": {"a": 3, "b": 1, "c": 0}}
 
 
 def test_oracle_scores_labels():
-    scorer = oracle_scorer(QRELS)
+    scorer = OracleScorer(QRELS)
     assert scorer.score_batch("q1", "", ["a", "b", "c", "unjudged"]) == [
         3.0,
         1.0,
@@ -130,7 +128,7 @@ def test_oracle_noise_requires_seed():
 
 
 def test_oracle_noise_is_batch_invariant():
-    scorer = oracle_scorer(QRELS, noise_sd=0.5, seed=42)
+    scorer = OracleScorer(QRELS, noise_sd=0.5, seed=42)
     joint = scorer.score_batch("q1", "", ["a", "b", "c"])
     split = [scorer.score_batch("q1", "", [d])[0] for d in ["a", "b", "c"]]
     assert joint == split
@@ -139,15 +137,15 @@ def test_oracle_noise_is_batch_invariant():
 
 
 def test_oracle_noise_varies_with_seed_and_doc():
-    s1 = oracle_scorer(QRELS, noise_sd=0.5, seed=1)
-    s2 = oracle_scorer(QRELS, noise_sd=0.5, seed=2)
+    s1 = OracleScorer(QRELS, noise_sd=0.5, seed=1)
+    s2 = OracleScorer(QRELS, noise_sd=0.5, seed=2)
     assert s1.score_batch("q1", "", ["a"]) != s2.score_batch("q1", "", ["a"])
     batch = s1.score_batch("q1", "", ["c", "unjudged-1", "unjudged-2"])
     assert len(set(batch)) == 3
 
 
 def test_oracle_noise_distribution_is_plausible():
-    scorer = oracle_scorer({"q": {}}, noise_sd=0.5, seed=7)
+    scorer = OracleScorer({"q": {}}, noise_sd=0.5, seed=7)
     values = scorer.score_batch("q", "", [f"d{i}" for i in range(400)])
     mean = sum(values) / len(values)
     sd = math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))

@@ -6,9 +6,9 @@ import pytest
 from gar import (
     CorpusGraph,
     DocMap,
+    OracleScorer,
     ReRankConfig,
     SENTINEL,
-    oracle_scorer,
     sweep_parameter,
     write_sweep_table,
 )
@@ -31,7 +31,7 @@ def test_sweep_k_controls_reachability():
         "k",
         [1, 2],
         RUNS,
-        oracle_scorer(QRELS),
+        OracleScorer(QRELS),
         chain_graph(),
         QRELS,
         ["recall@3"],
@@ -65,7 +65,7 @@ def test_sweep_reports_every_metric():
         "k",
         [1],
         RUNS,
-        oracle_scorer(QRELS),
+        OracleScorer(QRELS),
         chain_graph(),
         QRELS,
         ["ndcg", "recall@3", "rr@3"],
@@ -76,11 +76,11 @@ def test_sweep_reports_every_metric():
 
 def test_sweep_gain_passthrough():
     lin = sweep_parameter(
-        "k", [2], RUNS, oracle_scorer(QRELS), chain_graph(), QRELS,
+        "k", [2], RUNS, OracleScorer(QRELS), chain_graph(), QRELS,
         ["ndcg"], ReRankConfig(batch_size=1, budget=3), gain="lin",
     )
     exp = sweep_parameter(
-        "k", [2], RUNS, oracle_scorer(QRELS), chain_graph(), QRELS,
+        "k", [2], RUNS, OracleScorer(QRELS), chain_graph(), QRELS,
         ["ndcg"], ReRankConfig(batch_size=1, budget=3), gain="exp",
     )
     assert lin[0].means["ndcg"] == exp[0].means["ndcg"] == pytest.approx(1.0)
@@ -98,7 +98,7 @@ def test_write_sweep_table(tmp_path):
         "k",
         [1, 2],
         RUNS,
-        oracle_scorer(QRELS),
+        OracleScorer(QRELS),
         chain_graph(),
         QRELS,
         ["recall@3"],
