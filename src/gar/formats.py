@@ -141,11 +141,9 @@ def write_run(
 _TRACE_HEADER = "qid\tdocid\tinitial_rank\tfinal_rank\tprovenance\tsource_docid"
 
 
-def write_trace(path: str | Path, rows: Iterable[TraceRow], append: bool = False) -> None:
-    mode = "a" if append else "w"
-    with open(path, mode, encoding="utf-8") as fh:
-        if not append:
-            fh.write(_TRACE_HEADER + "\n")
+def write_trace(path: str | Path, rows: Iterable[TraceRow]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_TRACE_HEADER + "\n")
         for row in rows:
             initial = _NA if row.initial_rank is None else str(row.initial_rank)
             source = _NA if row.source is None else row.source

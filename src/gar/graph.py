@@ -20,13 +20,15 @@ VERSION = 1
 SENTINEL = 0xFFFFFFFF
 DEFAULT_K = 8
 
-# rows per block of the duplicate-neighbour check
+# rows per block of edge-table validation
 _VALIDATE_BLOCK_ROWS = 1 << 16
 
 _HEADER = struct.Struct("<4sIII")  # magic, version, rows, columns; shared with GARV
 
 # provider(internal_id, count) -> up to `count` (internal_id, similarity)
-# pairs for the given doc, most similar first; may include the doc itself.
+# pairs for the given doc: the doc itself excluded, by similarity descending,
+# then internal id ascending. `lexical._top_pairs` is the rule both in-repo
+# providers apply.
 SimilarityProvider = Callable[[int, int], Sequence[tuple[int, float]]]
 
 
@@ -53,40 +55,38 @@ class CorpusGraph:
             raise ValueError(
                 f"edge table has {n_docs} rows but docmap has {len(docmap)} docs"
             )
-        self._validate_rows(edges)
+        # checked before the kept copy exists, so its block temporaries add
+        # nothing to the peak of a large table
+        self._degrees = self._validate_rows(edges)
         edges = edges.copy()
         edges.setflags(write=False)
         self._edges = edges
         self._docmap = docmap
-        self._degrees = (edges != SENTINEL).sum(axis=1).astype(np.int64)
         self._n_edges = int(self._degrees.sum())
 
     @staticmethod
-    def _validate_rows(edges: np.ndarray) -> None:
-        n_docs, k = edges.shape
-        if k == 0:
-            return
-        real = edges != SENTINEL
-        bad = real & (edges >= n_docs)
-        if bad.any():
-            row = int(np.argwhere(bad)[0][0])
-            raise ValueError(f"row {row} has a neighbour id out of range")
-        rows = np.arange(n_docs, dtype=np.uint32)[:, None]
-        if (edges == rows).any():
-            row = int(np.argwhere(edges == rows)[0][0])
-            raise ValueError(f"row {row} contains a self edge")
-        # sentinels must be trailing padding only
-        if k > 1 and (real[:, 1:] & ~real[:, :-1]).any():
-            row = int(np.argwhere(real[:, 1:] & ~real[:, :-1])[0][0])
-            raise ValueError(f"row {row} has a neighbour after sentinel padding")
-        # sorted rows keep the sentinels last, so a duplicate is two equal
-        # adjacent real ids; blocks bound the sorted copy at any corpus size
+    def _validate_rows(edges: np.ndarray) -> np.ndarray:
+        """Degree of every row, after checking the rows in blocks that bound
+        the temporaries at any corpus size; a block reports the first of its
+        failing checks, in the order listed."""
+        n_docs = edges.shape[0]
+        degrees = np.empty(n_docs, dtype=np.int64)
         for start in range(0, n_docs, _VALIDATE_BLOCK_ROWS):
-            block = np.sort(edges[start : start + _VALIDATE_BLOCK_ROWS], axis=1)
-            dup = (block[:, 1:] == block[:, :-1]) & (block[:, 1:] != SENTINEL)
-            if dup.any():
-                row = start + int(np.argwhere(dup)[0][0])
-                raise ValueError(f"row {row} has duplicate neighbours")
+            block = edges[start : start + _VALIDATE_BLOCK_ROWS]
+            real = block != SENTINEL
+            rows = np.arange(start, start + len(block), dtype=np.uint32)[:, None]
+            # sorted rows keep the sentinels last, so a duplicate is two equal adjacent real ids
+            ordered = np.sort(block, axis=1)
+            for bad, message in (
+                (real & (block >= n_docs), "has a neighbour id out of range"),
+                (block == rows, "contains a self edge"),
+                (real[:, 1:] & ~real[:, :-1], "has a neighbour after sentinel padding"),
+                ((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] != SENTINEL), "has duplicate neighbours"),
+            ):
+                if bad.any():
+                    raise ValueError(f"row {start + int(np.argwhere(bad)[0][0])} {message}")
+            degrees[start : start + len(block)] = real.sum(axis=1)
+        return degrees
 
     @property
     def n_docs(self) -> int:
@@ -175,26 +175,24 @@ def docmap_path(path: str | Path) -> Path:
 
 
 def build_graph(docmap: DocMap, provider: SimilarityProvider, k: int) -> CorpusGraph:
-    """Build the k-NN graph by querying `provider` for each doc's top k+1.
+    """Build the k-NN graph from `provider`'s top k for each doc.
 
-    The provider is asked for k+1 candidates so the doc itself can be
-    discarded when present. Ties are broken by ascending internal id and
-    rows are sentinel-padded when fewer than k neighbours exist.
+    The provider meets the `SimilarityProvider` contract: up to `count`
+    pairs, the doc itself excluded, by similarity descending, then internal
+    id ascending. Each row is written as given and sentinel-padded; ids
+    outside the docmap, more than k ids, self edges and duplicates are
+    rejected.
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
     n_docs = len(docmap)
     edges = np.full((n_docs, k), SENTINEL, dtype=np.uint32)
     for doc in range(n_docs):
-        cands = []
-        for other, sim in provider(doc, k + 1):
-            if not 0 <= other < n_docs:
-                raise ValueError(
-                    f"similarity provider returned unknown docid {other} for doc {doc}"
-                )
-            if other != doc:
-                cands.append((other, float(sim)))
-        cands.sort(key=lambda pair: (-pair[1], pair[0]))
-        for col, (other, _) in enumerate(cands[:k]):
-            edges[doc, col] = other
+        row = [other for other, _ in provider(doc, k)]
+        unknown = [other for other in row if not 0 <= other < n_docs]
+        if unknown:
+            raise ValueError(f"similarity provider returned unknown docid {unknown[0]} for doc {doc}")
+        if len(row) > k:
+            raise ValueError(f"similarity provider returned {len(row)} > k={k} ids for doc {doc}")
+        edges[doc, : len(row)] = row
     return CorpusGraph(edges, docmap)

@@ -249,16 +249,20 @@ def _score_all(index: InvertedIndex, params: Bm25Params, cols: np.ndarray) -> np
     return np.bincount(docs, np.concatenate([weights[span] for span in spans]), index.n_docs)
 
 
-def _top_pairs(scores: np.ndarray, count: int) -> list[tuple[int, float]]:
-    """The `count` best docs with a positive score, by (score desc, id asc)."""
+def _top_pairs(scores: np.ndarray, count: int, floor: float = 0.0) -> list[tuple[int, float]]:
+    """The `count` best docs scoring above `floor`, by (score desc, id asc).
+
+    This is the one k-NN row rule: a provider excludes a doc by giving it a
+    score at or below the floor. Scores must not be NaN.
+    """
     if count <= 0:
         return []
     if count < len(scores):
         # keep every doc tied with the count-th best so the id tie-break is exact
         cut = np.partition(scores, len(scores) - count)[len(scores) - count]
-        ids = np.flatnonzero(scores >= cut) if cut > 0.0 else np.flatnonzero(scores > 0.0)
+        ids = np.flatnonzero(scores >= cut) if cut > floor else np.flatnonzero(scores > floor)
     else:
-        ids = np.flatnonzero(scores > 0.0)
+        ids = np.flatnonzero(scores > floor)
     values = scores[ids]
     order = np.lexsort((ids, -values))[:count]
     return list(zip(ids[order].tolist(), values[order].tolist()))
@@ -342,7 +346,12 @@ class DenseVectors:
             )
         if matrix.shape[1] == 0:
             raise ValueError("vector dimension must be positive")
-        norms = np.linalg.norm(matrix, axis=1)
+        with np.errstate(over="ignore"):  # an overflowing norm is reported below
+            norms = np.linalg.norm(matrix, axis=1)
+        # a NaN or inf entry, or a norm past the float64 range, has no direction
+        if not np.isfinite(norms).all():
+            row = int(np.argwhere(~np.isfinite(norms))[0][0])
+            raise ValueError(f"row {row} ({docmap.external(row)!r}) is not finite or its norm overflows")
         if (norms == 0).any():
             row = int(np.argwhere(norms == 0)[0][0])
             raise ValueError(f"row {row} ({docmap.external(row)!r}) is a zero vector")
@@ -404,12 +413,6 @@ def dense_topk(vectors: DenseVectors, doc: int, k_plus: int) -> list[tuple[int, 
     if not 0 <= doc < vectors.n_docs:
         raise IndexError(f"internal id out of range: {doc}")
     sims = vectors.similarities(doc)
-    order = np.lexsort((np.arange(vectors.n_docs), -sims))
-    out: list[tuple[int, float]] = []
-    for idx in order:
-        if idx == doc:
-            continue
-        out.append((int(idx), float(sims[idx])))
-        if len(out) == k_plus:
-            break
-    return out
+    # cosines lie in [-1, 1], so only the doc itself is at the -inf floor
+    sims[doc] = -np.inf
+    return _top_pairs(sims, k_plus, floor=-np.inf)

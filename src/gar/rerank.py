@@ -108,24 +108,15 @@ class ScoreCache:
 
 
 class CachedScorer:
-    """Serves precomputed scores; a missing pair raises unless a default is set."""
+    """Serves precomputed scores; a missing pair raises `KeyError`."""
 
-    __slots__ = ("_cache", "_default")
+    __slots__ = ("_cache",)
 
-    def __init__(self, cache: ScoreCache, default: float | None = None):
+    def __init__(self, cache: ScoreCache):
         self._cache = cache
-        self._default = default
 
     def score_batch(self, qid: str, query: str, docids: Sequence[str]) -> list[float]:
-        out = []
-        for docid in docids:
-            try:
-                out.append(self._cache.lookup(qid, docid))
-            except KeyError:
-                if self._default is None:
-                    raise
-                out.append(self._default)
-        return out
+        return [self._cache.lookup(qid, docid) for docid in docids]
 
 
 class OracleScorer:

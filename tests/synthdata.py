@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import random
+import struct
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from gar import SENTINEL, CorpusGraph, DocMap
+from gar import SENTINEL, CorpusGraph, DocMap, docmap_path
 
 
 # --- scorer stubs -----------------------------------------------------------
@@ -78,6 +79,13 @@ def random_corpus(
 
 def random_vectors(rng: np.random.Generator, n_docs: int, dim: int = 8) -> np.ndarray:
     return rng.normal(size=(n_docs, dim)).astype(np.float32)
+
+
+def write_garv(path, matrix, docids: Sequence[str]) -> None:
+    """A GARV vector file written byte by byte, so any float32 row can go in."""
+    matrix = np.asarray(matrix, dtype="<f4")
+    path.write_bytes(struct.pack("<4sIII", b"GARV", 1, *matrix.shape) + matrix.tobytes())
+    DocMap(docids).save(docmap_path(path))
 
 
 def random_graph(

@@ -17,6 +17,7 @@ from gar import (
 )
 from gar.cli import main
 from oracles import bm25_all_scores
+from synthdata import write_garv
 
 CORPUS = [
     ("d0", "apple fruit crisp"),
@@ -193,6 +194,18 @@ def test_dense_route(workdir, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert out.startswith("ils\t")
+
+
+def test_dense_build_rejects_non_finite_vectors(workdir, capsys):
+    vectors_path = workdir / "vectors.bin"
+    matrix = np.eye(8, 4) + 1
+    matrix[5, 2] = np.nan
+    write_garv(vectors_path, matrix, [docid for docid, _ in CORPUS])
+    graph = workdir / "dense-graph.bin"
+    rc = run_cli("build-graph", "--method", "dense", "--vectors", vectors_path, "--k", "2", "--out", graph)
+    assert rc == 2
+    assert "row 5 ('d5') is not finite" in err(capsys)
+    assert not graph.exists()
 
 
 def cluster_fixture(tmp_path):

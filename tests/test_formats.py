@@ -169,14 +169,6 @@ def test_trace_round_trip(tmp_path):
     assert read_trace(path) == rows
 
 
-def test_trace_append(tmp_path):
-    path = tmp_path / "trace.tsv"
-    write_trace(path, [TraceRow("q1", "a", 1, 1, "initial", None)])
-    write_trace(path, [TraceRow("q2", "b", 1, 1, "initial", None)], append=True)
-    rows = read_trace(path)
-    assert [r.qid for r in rows] == ["q1", "q2"]
-
-
 def test_trace_bad_header(tmp_path):
     path = tmp_path / "trace.tsv"
     path.write_text("nope\nq1\ta\t1\t1\tinitial\tNA\n")

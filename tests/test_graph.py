@@ -67,15 +67,27 @@ def test_validation_duplicate_in_last_row_of_many_blocks():
     # more rows than one validation block, and only the last row is bad
     n = _VALIDATE_BLOCK_ROWS + 3
     ids = np.arange(n, dtype=np.uint32)
-    edges = np.stack([(ids + 1) % n, (ids + 2) % n, (ids + 3) % n], axis=1)
-    edges[-1, 2] = edges[-1, 0]
+    good = np.stack([(ids + 1) % n, (ids + 2) % n, (ids + 3) % n], axis=1)
     docmap = DocMap(f"d{i}" for i in range(n))
-    with pytest.raises(ValueError, match=f"row {n - 1} has duplicate"):
-        CorpusGraph(edges, docmap)
+    assert CorpusGraph(good, docmap).n_edges == 3 * n
+    faults = [
+        (2, good[-1, 0], "has duplicate neighbours"),
+        (1, n, "has a neighbour id out of range"),
+        (1, n - 1, "contains a self edge"),
+        (1, SENTINEL, "has a neighbour after sentinel padding"),
+    ]
+    for col, value, message in faults:
+        edges = good.copy()
+        edges[-1, col] = value
+        with pytest.raises(ValueError, match=f"row {n - 1} {message}"):
+            CorpusGraph(edges, docmap)
     # repeated sentinels are padding, not duplicates
+    edges = good.copy()
     edges[0, 1:] = SENTINEL
     edges[-1, 1:] = SENTINEL
-    assert CorpusGraph(edges, docmap).n_edges == 3 * n - 4
+    g = CorpusGraph(edges, docmap)
+    assert g.n_edges == 3 * n - 4
+    assert (g.degree(0), g.degree(1), g.degree(n - 1)) == (1, 3, 1)
 
 
 @given(
@@ -194,12 +206,10 @@ def test_load_docmap_count_mismatch(tmp_path):
 
 
 def dict_provider(sims):
-    """Provider backed by {doc: [(other, sim), ...]} with self rows injected."""
+    """Provider backed by {doc: [(other, sim), ...]}, sorted to the provider contract."""
 
     def provider(doc, count):
-        pairs = [(doc, 1.0)] + sims.get(doc, [])
-        pairs.sort(key=lambda p: (-p[1], p[0]))
-        return pairs[:count]
+        return sorted(sims.get(doc, []), key=lambda p: (-p[1], p[0]))[:count]
 
     return provider
 
@@ -216,7 +226,7 @@ def test_build_graph_basic():
     assert g.neighbours(2) == [0, 1]
 
 
-def test_build_graph_discards_self_and_pads():
+def test_build_graph_pads_short_rows():
     g = build_graph(DocMap(["a", "b"]), dict_provider({0: [(1, 0.4)]}), k=3)
     assert g.neighbours(0) == [1]
     assert list(g.edges[0]) == [1, SENTINEL, SENTINEL]
@@ -239,12 +249,32 @@ def test_build_graph_rejects_unknown_provider_id():
         build_graph(DocMap(["a", "b"]), dict_provider({0: [(9, 0.1)]}), k=1)
 
 
-def test_build_graph_accepts_unsorted_provider_output():
+def test_build_graph_asks_for_k_and_writes_rows_as_given():
+    asked = []
+
     def provider(doc, count):
-        return [(1, 0.1), (2, 0.9)] if doc == 0 else []
+        asked.append(count)
+        return [(2, 0.1), (1, 0.9)] if doc == 0 else []
 
     g = build_graph(DocMap(["a", "b", "c"]), provider, k=2)
+    assert asked == [2, 2, 2]
     assert g.neighbours(0) == [2, 1]
+
+
+def test_build_graph_rejects_provider_self_edge():
+    def provider(doc, count):
+        return [(doc, 1.0), ((doc + 1) % 3, 0.5)][:count]
+
+    with pytest.raises(ValueError, match="row 0 contains a self edge"):
+        build_graph(DocMap(["a", "b", "c"]), provider, k=2)
+
+
+def test_build_graph_rejects_more_than_k_ids():
+    def provider(doc, count):
+        return [(other, 0.5) for other in range(3) if other != doc]
+
+    with pytest.raises(ValueError, match="returned 2 > k=1 ids for doc 0"):
+        build_graph(DocMap(["a", "b", "c"]), provider, k=1)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 64))

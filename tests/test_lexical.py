@@ -16,6 +16,7 @@ from gar import (
     DocMap,
     bm25_doc_topk,
     bm25_retrieve,
+    build_graph,
     dense_topk,
     docmap_path,
     index_corpus,
@@ -23,7 +24,7 @@ from gar import (
 )
 from gar.lexical import bm25_scores
 from oracles import bm25_all_scores, knn_row, reference_tokenize
-from synthdata import random_corpus
+from synthdata import random_corpus, write_garv
 
 
 # --- tokenize ---------------------------------------------------------------
@@ -371,6 +372,26 @@ def test_zero_vector_rejected():
         DenseVectors(matrix, DocMap(["a", "b"]))
 
 
+NON_FINITE_ROWS = [[np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf]]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE_ROWS + [[1e200, 1e200]])
+def test_non_finite_vector_rejected(bad):
+    # [1e200, 1e200] is finite, but its norm overflows float64 to inf
+    matrix = np.array([[1.0, 0.0], bad, [0.0, 1.0]])
+    with pytest.raises(ValueError, match=r"row 1 \('b'\) is not finite or its norm overflows"):
+        DenseVectors(matrix, DocMap(["a", "b", "c"]))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE_ROWS)
+def test_non_finite_vector_file_rejected(tmp_path, bad):
+    # a float32 row cannot overflow the float64 norm, so only NaN and inf apply
+    path = tmp_path / "vectors.bin"
+    write_garv(path, [[1.0, 0.0], [0.0, 1.0], bad], ["a", "b", "c"])
+    with pytest.raises(ValueError, match=r"row 2 \('c'\) is not finite"):
+        DenseVectors.load(path)
+
+
 def test_vector_shape_validation():
     with pytest.raises(ValueError, match="2-dimensional"):
         DenseVectors(np.ones(3), DocMap(["a", "b", "c"]))
@@ -406,6 +427,34 @@ def test_dense_topk_tie_breaks_by_id():
 def test_dense_topk_short_when_corpus_small():
     vectors = unit_square_vectors()
     assert len(dense_topk(vectors, 0, 99)) == 3
+    assert dense_topk(vectors, 0, 0) == []
+
+
+@given(
+    st.integers(2, 9).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(st.integers(-2, 2), min_size=2, max_size=2), min_size=n, max_size=n),
+            st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+        )
+    )
+)
+def test_dense_rows_match_reference_at_ties(drawn):
+    # small integer rows, each replaced by a drawn row, so equal cosines are common
+    rows, copy_of = drawn
+    matrix = np.array([rows[i] if any(rows[i]) else [1, 0] for i in copy_of], dtype=np.float64)
+    n = len(matrix)
+    vectors = DenseVectors(matrix, DocMap([f"v{i}" for i in range(n)]))
+    m64 = vectors.matrix.astype(np.float64)
+    sims = [np.clip(m64 @ m64[doc], -1.0, 1.0).tolist() for doc in range(n)]
+    # every k, so each run of tied cosines is cut inside and on both sides
+    for k in range(1, n + 1):
+        want = [knn_row(sims[doc], doc, k, positive_only=False) for doc in range(n)]
+        for doc in range(n):
+            got = dense_topk(vectors, doc, k)
+            assert [d for d, _ in got] == [d for d in want[doc] if d != SENTINEL_ID]
+            assert [s for _, s in got] == [sims[doc][d] for d, _ in got]
+        graph = build_graph(vectors.docmap, lambda d, c: dense_topk(vectors, d, c), k)
+        assert graph.edges.tolist() == want
 
 
 def test_dense_topk_bad_doc():

@@ -95,8 +95,6 @@ def test_cached_scorer(tmp_path):
     assert scorer.score_batch("q", "", ["a"]) == [1.5]
     with pytest.raises(KeyError):
         scorer.score_batch("q", "", ["a", "zzz"])
-    lenient = CachedScorer(cache, default=0.0)
-    assert lenient.score_batch("q", "", ["a", "zzz"]) == [1.5, 0.0]
 
     path = tmp_path / "cache.tsv"
     cache.save(path)
