@@ -68,7 +68,6 @@ from .rerank import (
     ScoreCache,
     Scorer,
     TraceRow,
-    backfill,
     gar_rerank,
     rerank_run,
     trace_rows,
@@ -103,7 +102,6 @@ __all__ = [
     "Scorer",
     "SweepRow",
     "TraceRow",
-    "backfill",
     "bm25_doc_topk",
     "bm25_retrieve",
     "build_graph",

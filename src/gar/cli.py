@@ -28,7 +28,6 @@ from .rerank import (
     ScoreCache,
     Scorer,
     rerank_run,
-    trace_rows,
 )
 
 DEFAULT_METRICS = "ndcg,ndcg@10,map,recall@1000,rr@10,judged@10"
@@ -123,13 +122,11 @@ def cmd_rerank(args: argparse.Namespace) -> int:
         if not args.graph:
             raise ValueError("mode gar needs --graph")
         graph = CorpusGraph.load(args.graph)
-    rankings = rerank_run(runs, scorer, config, graph, texts)
+    pools = {qid: Ranking.from_pairs(qid, pairs) for qid, pairs in runs.items()}
+    rankings = rerank_run(pools, scorer, config, graph, texts)
     formats.write_run(args.run_out, rankings, args.tag)
     if args.trace:
-        rows = []
-        for qid in sorted(rankings):
-            rows.extend(trace_rows(Ranking.from_pairs(qid, runs[qid]), rankings[qid]))
-        formats.write_trace(args.trace, rows)
+        formats.write_trace(args.trace, pools, rankings)
     print(f"re-ranked {len(rankings)} queries ({args.mode}, budget {args.budget}) -> {args.run_out}")
     return 0
 

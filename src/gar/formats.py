@@ -7,13 +7,15 @@ invocations produce byte-identical files.
 from __future__ import annotations
 
 import math
+from collections import Counter
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
 from .evaluate import MetricValues, N_LABELS
-from .ranking import Ranking
+from .ranking import PROV_FRONTIER, PROV_INITIAL, Ranking
 from .rerank import TraceRow
 
 _NA = "NA"
@@ -96,8 +98,69 @@ def write_qrels(path: str | Path, qrels: Mapping[str, Mapping[str, int]]) -> Non
 
 # --- TREC runs: qid Q0 docid rank score tag ---------------------------------
 
+# characters of a run file parsed by column at once, which bounds the tokens held
+_RUN_BLOCK_CHARS = 1 << 16
+
 
 def read_run(path: str | Path) -> dict[str, list[tuple[str, float]]]:
+    with open(path, "r", encoding="utf-8") as fh:
+        runs = _read_run_columns(fh)
+    return _read_run_rows(path) if runs is None else runs
+
+
+def _read_run_columns(fh: TextIO) -> dict[str, list[tuple[str, float]]] | None:
+    """`read_run` of a file whose queries are each one block of lines, parsed
+    by column, about _RUN_BLOCK_CHARS characters of whole lines at a time;
+    None where the file needs the row reader: any non-ASCII text,
+    interleaved queries, and every file the row reader rejects."""
+    canonical: dict[str, str] = {}  # one str object per qid
+    qids: list[str] = []
+    docids: list[str] = []
+    ranks = [np.empty(0, dtype=np.int64)]
+    scores = [np.empty(0)]
+    rest = ""
+    while True:
+        chunk = fh.read(_RUN_BLOCK_CHARS)
+        text = rest + chunk
+        cut = text.rfind("\n") + 1 if chunk else len(text)
+        block, rest = text[:cut], text[cut:]
+        if not (block.isascii() and _six_fields_per_line(block)):
+            return None
+        tokens = block.split()
+        qids.extend(map(canonical.setdefault, tokens[0::6], tokens[0::6]))
+        docids.extend(tokens[2::6])
+        try:
+            ranks.append(np.fromiter(map(int, tokens[3::6]), np.int64, len(tokens) // 6))
+            scores.append(np.fromiter(map(float, tokens[4::6]), np.float64, len(tokens) // 6))
+        except (ValueError, OverflowError):
+            return None
+        if not chunk:
+            break
+    ranks, scores = np.concatenate(ranks), np.concatenate(scores)
+    if not np.isfinite(scores).all():
+        return None
+    runs: dict[str, list[tuple[str, float]]] = {}
+    start = 0
+    for qid, count in Counter(qids).items():
+        end = start + count
+        group = docids[start:end]
+        if qids[start:end].count(qid) != count or len(set(group)) != count or (np.diff(ranks[start:end]) <= 0).any():
+            return None
+        runs[qid] = list(zip(group, scores[start:end].tolist()))
+        start = end
+    return runs
+
+
+def _six_fields_per_line(text: str) -> bool:
+    """Whether every non-empty line of ASCII `text` splits into six fields."""
+    raw = np.frombuffer(("\n" + text + "\n").encode("ascii"), np.uint8)
+    space = ((raw - 9) <= 4) | ((raw - 28) <= 4)  # str.split's ASCII whitespace: 9-13 and 28-32
+    newlines = np.flatnonzero(raw == 10)
+    fields = np.diff(np.searchsorted(np.flatnonzero(space[:-1] > space[1:]), newlines))
+    return not ((fields != 6) & ((fields != 0) | (np.diff(newlines) > 1))).any()
+
+
+def _read_run_rows(path: str | Path) -> dict[str, list[tuple[str, float]]]:
     runs: dict[str, list[tuple[str, float]]] = {}
     last_rank: dict[str, int] = {}
     seen: dict[str, set[str]] = {}
@@ -128,12 +191,37 @@ def write_run(
     rankings: Mapping[str, Ranking | Sequence[tuple[str, float]]],
     tag: str = "gar",
 ) -> None:
+    """Write rankings in qid order. Scores must be finite and docids unique
+    per query, as `read_run` requires; nothing is written otherwise."""
+    columns = {}
+    for qid in sorted(rankings):
+        ranked = rankings[qid]
+        if not isinstance(ranked, Ranking):
+            ranked = Ranking.from_pairs(qid, ranked)
+        docids, scores = ranked.docids(), ranked.scores()
+        bad = np.flatnonzero(~np.isfinite(scores))
+        if len(bad):
+            raise ValueError(
+                f"{path}: non-finite score {float(scores[bad[0]])!r} for query {qid!r} doc {docids[bad[0]]!r}"
+            )
+        columns[qid] = docids, scores
+    ranks = _rank_strings(len(docids) for docids, _ in columns.values())
     with open(path, "w", encoding="utf-8") as fh:
-        for qid in sorted(rankings):
-            ranked = rankings[qid]
-            pairs = ranked.pairs() if isinstance(ranked, Ranking) else list(ranked)
-            for rank, (docid, score) in enumerate(pairs, 1):
-                fh.write(f"{qid} Q0 {docid} {rank} {score:.6f} {tag}\n")
+        for qid, (docids, scores) in columns.items():
+            scores = map("%.6f".__mod__, scores.tolist())
+            _write_rows(fh, " ", (repeat(qid), repeat("Q0"), docids, ranks, scores, repeat(tag)))
+
+
+def _rank_strings(lengths: Iterable[int]) -> list[str]:
+    """Rank strings from 1 up to the longest of `lengths`, shared by every query."""
+    return [str(rank) for rank in range(1, max(lengths, default=0) + 1)]
+
+
+def _write_rows(fh: TextIO, sep: str, columns: Sequence[Iterable[str]]) -> None:
+    """One line per row of the string columns, which stop with the shortest."""
+    text = "\n".join(map(sep.join, zip(*columns)))
+    if text:
+        fh.write(text + "\n")
 
 
 # --- provenance trace --------------------------------------------------------
@@ -141,13 +229,18 @@ def write_run(
 _TRACE_HEADER = "qid\tdocid\tinitial_rank\tfinal_rank\tprovenance\tsource_docid"
 
 
-def write_trace(path: str | Path, rows: Iterable[TraceRow]) -> None:
+def write_trace(path: str | Path, pools: Mapping[str, Ranking], rankings: Mapping[str, Ranking]) -> None:
+    """The `trace_rows` of every re-ranked list against its initial pool, in qid order."""
+    ranks = _rank_strings(map(len, chain(pools.values(), rankings.values())))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_TRACE_HEADER + "\n")
-        for row in rows:
-            initial = _NA if row.initial_rank is None else str(row.initial_rank)
-            source = _NA if row.source is None else row.source
-            fh.write(f"{row.qid}\t{row.docid}\t{initial}\t{row.final_rank}\t{row.provenance}\t{source}\n")
+        for qid in sorted(rankings):
+            result = rankings[qid]
+            docids = result.docids()
+            initial = dict(zip(pools[qid].docids(), ranks))
+            sources = [_NA if source is None else source for source in result.sources()]
+            initial_ranks = map(initial.get, docids, repeat(_NA))
+            _write_rows(fh, "\t", (repeat(result.qid), docids, initial_ranks, ranks, result.provenances(), sources))
 
 
 def read_trace(path: str | Path) -> list[TraceRow]:
@@ -161,16 +254,14 @@ def read_trace(path: str | Path) -> list[TraceRow]:
         if len(parts) != 6:
             raise ValueError(f"{path}: line {lineno}: expected 6 tab-separated fields")
         qid, docid, initial, final, provenance, source = parts
-        rows.append(
-            TraceRow(
-                qid,
-                docid,
-                None if initial == _NA else int(initial),
-                int(final),
-                provenance,
-                None if source == _NA else source,
-            )
-        )
+        try:
+            initial_rank = None if initial == _NA else int(initial)
+            final_rank = int(final)
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: bad initial_rank or final_rank") from None
+        if provenance not in (PROV_INITIAL, PROV_FRONTIER):
+            raise ValueError(f"{path}: line {lineno}: bad provenance {provenance!r}")
+        rows.append(TraceRow(qid, docid, initial_rank, final_rank, provenance, None if source == _NA else source))
     return rows
 
 

@@ -27,7 +27,7 @@ _HEADER = struct.Struct("<4sIII")  # magic, version, rows, columns; shared with 
 
 # provider(internal_id, count) -> up to `count` (internal_id, similarity)
 # pairs for the given doc: the doc itself excluded, by similarity descending,
-# then internal id ascending. `lexical._top_pairs` is the rule both in-repo
+# then internal id ascending. `lexical._top` is the rule both in-repo
 # providers apply.
 SimilarityProvider = Callable[[int, int], Sequence[tuple[int, float]]]
 
@@ -47,18 +47,21 @@ class CorpusGraph:
     __slots__ = ("_edges", "_docmap", "_degrees", "_n_edges")
 
     def __init__(self, edges: np.ndarray, docmap: DocMap):
-        edges = np.asarray(edges, dtype=np.uint32)
+        edges = np.asarray(edges)
         if edges.ndim != 2:
             raise ValueError(f"edge table must be 2-dimensional, got shape {edges.shape}")
+        if edges.dtype.kind not in "iu":
+            raise ValueError(f"edge table must hold integer ids, got dtype {edges.dtype}")
         n_docs, k = edges.shape
         if n_docs != len(docmap):
             raise ValueError(
                 f"edge table has {n_docs} rows but docmap has {len(docmap)} docs"
             )
-        # checked before the kept copy exists, so its block temporaries add
-        # nothing to the peak of a large table
+        # checked in the given dtype before the kept uint32 copy exists, so
+        # no id wraps around and the block temporaries add nothing to the
+        # peak of a large table
         self._degrees = self._validate_rows(edges)
-        edges = edges.copy()
+        edges = edges.astype(np.uint32, order="C")
         edges.setflags(write=False)
         self._edges = edges
         self._docmap = docmap
@@ -66,9 +69,9 @@ class CorpusGraph:
 
     @staticmethod
     def _validate_rows(edges: np.ndarray) -> np.ndarray:
-        """Degree of every row, after checking the rows in blocks that bound
-        the temporaries at any corpus size; a block reports the first of its
-        failing checks, in the order listed."""
+        """Degree of every row, after checking the rows, in any integer
+        dtype, in blocks that bound the temporaries at any corpus size; a
+        block reports the first of its failing checks, in the order listed."""
         n_docs = edges.shape[0]
         degrees = np.empty(n_docs, dtype=np.int64)
         for start in range(0, n_docs, _VALIDATE_BLOCK_ROWS):
@@ -78,7 +81,7 @@ class CorpusGraph:
             # sorted rows keep the sentinels last, so a duplicate is two equal adjacent real ids
             ordered = np.sort(block, axis=1)
             for bad, message in (
-                (real & (block >= n_docs), "has a neighbour id out of range"),
+                (real & ((block < 0) | (block >= n_docs)), "has a neighbour id out of range"),
                 (block == rows, "contains a self edge"),
                 (real[:, 1:] & ~real[:, :-1], "has a neighbour after sentinel padding"),
                 ((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] != SENTINEL), "has duplicate neighbours"),

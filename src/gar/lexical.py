@@ -249,14 +249,15 @@ def _score_all(index: InvertedIndex, params: Bm25Params, cols: np.ndarray) -> np
     return np.bincount(docs, np.concatenate([weights[span] for span in spans]), index.n_docs)
 
 
-def _top_pairs(scores: np.ndarray, count: int, floor: float = 0.0) -> list[tuple[int, float]]:
-    """The `count` best docs scoring above `floor`, by (score desc, id asc).
+def _top(scores: np.ndarray, count: int, floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Ids and scores of the `count` best docs scoring above `floor`, by
+    (score desc, id asc).
 
     This is the one k-NN row rule: a provider excludes a doc by giving it a
     score at or below the floor. Scores must not be NaN.
     """
     if count <= 0:
-        return []
+        return np.empty(0, dtype=np.int64), np.empty(0)
     if count < len(scores):
         # keep every doc tied with the count-th best so the id tie-break is exact
         cut = np.partition(scores, len(scores) - count)[len(scores) - count]
@@ -265,7 +266,13 @@ def _top_pairs(scores: np.ndarray, count: int, floor: float = 0.0) -> list[tuple
         ids = np.flatnonzero(scores > floor)
     values = scores[ids]
     order = np.lexsort((ids, -values))[:count]
-    return list(zip(ids[order].tolist(), values[order].tolist()))
+    return ids[order], values[order]
+
+
+def _top_pairs(scores: np.ndarray, count: int, floor: float = 0.0) -> list[tuple[int, float]]:
+    """`_top` as (id, score) pairs."""
+    ids, values = _top(scores, count, floor)
+    return list(zip(ids.tolist(), values.tolist()))
 
 
 def bm25_scores(
@@ -304,8 +311,8 @@ def bm25_retrieve(
 ) -> Ranking:
     """Rank docs with positive query overlap; ties break by ascending internal id."""
     scores = _score_all(index, params, index._columns(tokenize(query)))
-    pairs = _top_pairs(scores, top_n)
-    return Ranking.from_pairs(qid, ((index.docmap.external(doc), s) for doc, s in pairs))
+    ids, values = _top(scores, top_n)
+    return Ranking._from_columns(qid, tuple(map(index.docmap.ids.__getitem__, ids.tolist())), values)
 
 
 def bm25_doc_scores(index: InvertedIndex, params: Bm25Params, doc: int) -> np.ndarray:

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 PROV_INITIAL = "initial"
 PROV_FRONTIER = "frontier"
 
@@ -25,42 +27,114 @@ class RankEntry:
 
 
 class Ranking:
-    """Ordered, per-query result list with unique docids."""
+    """Ordered, per-query result list with unique docids.
 
-    __slots__ = ("qid", "_entries")
+    Stored as columns: a docid tuple, a read-only float64 score array, and
+    provenance and source tuples. A `RankEntry` is built only when a caller
+    iterates or indexes.
+    """
+
+    __slots__ = ("qid", "_docids", "_scores", "_provenances", "_sources")
 
     def __init__(self, qid: str, entries: Iterable[RankEntry]):
         entries = tuple(entries)
-        seen: set[str] = set()
-        for entry in entries:
-            if entry.docid in seen:
-                raise ValueError(f"duplicate docid in ranking for query {qid!r}: {entry.docid!r}")
-            seen.add(entry.docid)
-        self.qid = qid
-        self._entries = entries
+        docids = tuple(entry.docid for entry in entries)
+        _check_unique(qid, docids)
+        self._assign(
+            qid,
+            docids,
+            _score_array([entry.score for entry in entries]),
+            tuple(entry.provenance for entry in entries),
+            tuple(entry.source for entry in entries),
+        )
 
     @classmethod
     def from_pairs(cls, qid: str, pairs: Iterable[tuple[str, float]]) -> "Ranking":
-        return cls(qid, (RankEntry(docid, float(score)) for docid, score in pairs))
+        docids, scores = tuple(zip(*pairs)) or ((), ())
+        _check_unique(qid, docids)
+        return cls._from_columns(qid, docids, _score_array(scores))
+
+    @classmethod
+    def _from_columns(
+        cls,
+        qid: str,
+        docids: tuple[str, ...],
+        scores: np.ndarray,
+        provenances: tuple[str, ...] | None = None,
+        sources: tuple[str | None, ...] | None = None,
+    ) -> "Ranking":
+        """Ranking over columns whose docids are unique by construction, so
+        the duplicate check is skipped; provenance defaults to initial."""
+        ranking = cls.__new__(cls)
+        n = len(docids)
+        ranking._assign(
+            qid,
+            docids,
+            scores,
+            (PROV_INITIAL,) * n if provenances is None else provenances,
+            (None,) * n if sources is None else sources,
+        )
+        return ranking
+
+    def _assign(
+        self,
+        qid: str,
+        docids: tuple[str, ...],
+        scores: np.ndarray,
+        provenances: tuple[str, ...],
+        sources: tuple[str | None, ...],
+    ) -> None:
+        scores.setflags(write=False)
+        self.qid = qid
+        self._docids = docids
+        self._scores = scores
+        self._provenances = provenances
+        self._sources = sources
 
     @property
     def entries(self) -> Sequence[RankEntry]:
-        return self._entries
+        return tuple(self)
 
     def docids(self) -> list[str]:
-        return [entry.docid for entry in self._entries]
+        return list(self._docids)
+
+    def scores(self) -> np.ndarray:
+        """The scores, as a read-only float64 array."""
+        return self._scores
+
+    def provenances(self) -> tuple[str, ...]:
+        return self._provenances
+
+    def sources(self) -> tuple[str | None, ...]:
+        return self._sources
 
     def pairs(self) -> list[tuple[str, float]]:
-        return [(entry.docid, entry.score) for entry in self._entries]
+        return list(zip(self._docids, self._scores.tolist()))
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._docids)
 
     def __iter__(self) -> Iterator[RankEntry]:
-        return iter(self._entries)
+        return map(RankEntry, self._docids, self._scores.tolist(), self._provenances, self._sources)
 
     def __getitem__(self, i: int) -> RankEntry:
-        return self._entries[i]
+        if isinstance(i, slice):
+            return self.entries[i]
+        return RankEntry(self._docids[i], float(self._scores[i]), self._provenances[i], self._sources[i])
 
     def __repr__(self) -> str:
-        return f"Ranking(qid={self.qid!r}, {len(self._entries)} entries)"
+        return f"Ranking(qid={self.qid!r}, {len(self._docids)} entries)"
+
+
+def _score_array(scores: Sequence[float]) -> np.ndarray:
+    return np.fromiter(map(float, scores), np.float64, len(scores))
+
+
+def _check_unique(qid: str, docids: tuple[str, ...]) -> None:
+    if len(set(docids)) == len(docids):
+        return
+    seen: set[str] = set()
+    for docid in docids:
+        if docid in seen:
+            raise ValueError(f"duplicate docid in ranking for query {qid!r}: {docid!r}")
+        seen.add(docid)

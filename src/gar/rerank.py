@@ -9,16 +9,17 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
 from .graph import CorpusGraph
 from .lexical import Bm25Params, InvertedIndex, bm25_scores, tokenize
-from .ranking import PROV_FRONTIER, PROV_INITIAL, RankEntry, Ranking
+from .ranking import PROV_FRONTIER, PROV_INITIAL, Ranking
 
 # Backfill scores step down by this much per doc; large enough to survive
 # the 6-decimal score field of run files. Where the scores are too large for
@@ -190,24 +191,28 @@ class RecordingScorer:
 # --- re-ranking -----------------------------------------------------------
 
 
-def backfill(remainder: Sequence[str], scored: Iterable[RankEntry]) -> list[RankEntry]:
-    """Entries for unscored pool docs, appended below every scored doc.
+def backfill(base: float, n: int) -> np.ndarray:
+    """Scores for `n` unscored pool docs, appended below a scored block
+    whose lowest score is `base`.
 
-    Synthetic scores step down from the minimum scored value so the
-    remainder keeps its original order under a plain sort by score. Each
-    step is BACKFILL_EPSILON, or one float spacing where that is larger, so
-    the scores stay strictly decreasing at any magnitude.
+    The scores step down from base so the remainder keeps its pool order
+    under a plain sort by score. Each step is BACKFILL_EPSILON, or one float
+    spacing where that is larger, so the scores stay strictly decreasing at
+    any magnitude.
     """
-    base = min((entry.score for entry in scored), default=0.0)
-    entries = []
+    scores = base - np.arange(1, n + 1) * BACKFILL_EPSILON
+    if n == 0 or (scores[0] < base and (np.diff(scores) < 0).all()):
+        return scores
+    # some step rounded away: the loop, which the fast path equals wherever it is taken
+    steps = []
     previous = base
-    for i, docid in enumerate(remainder):
+    for i in range(n):
         score = base - (i + 1) * BACKFILL_EPSILON
         if score >= previous:
             score = math.nextafter(previous, -math.inf)
-        entries.append(RankEntry(docid, score))
+        steps.append(score)
         previous = score
-    return entries
+    return np.array(steps)
 
 
 def _rerank(
@@ -313,15 +318,20 @@ def _rerank(
                         heapq.heappush(heap, (-priority, entry[1], nb))
         pool_is_initial = not pool_is_initial
 
-    entries = []
-    for negscore, docid, doc in sorted((-score, docid_of(doc), doc) for doc, score in scored.items()):
-        if doc in via:
-            entries.append(RankEntry(docid, -negscore, PROV_FRONTIER, ids[via[doc]]))
-        else:
-            entries.append(RankEntry(docid, -negscore))
-    remainder = [docid for docid in order[cursor:] if lookup(docid) not in scored]
-    entries.extend(backfill(remainder, entries))
-    return Ranking(qid, entries)
+    # the scored block by (score desc, docid asc), then the backfilled rest of the pool
+    block = sorted((-score, docid_of(doc), doc) for doc, score in scored.items())
+    block_ids = tuple(docid for _, docid, _ in block)
+    scores = [-negscore for negscore, _, _ in block]
+    sources = tuple(ids[via[doc]] if doc in via else None for _, _, doc in block)
+    remainder = tuple(itertools.filterfalse(set(block_ids).__contains__, order[cursor:]))
+    n = len(remainder)
+    return Ranking._from_columns(
+        qid,
+        block_ids + remainder,
+        np.concatenate((scores, backfill(min(scores), n))),
+        tuple(PROV_INITIAL if source is None else PROV_FRONTIER for source in sources) + (PROV_INITIAL,) * n,
+        sources + (None,) * n,
+    )
 
 
 def typical_rerank(
@@ -353,18 +363,17 @@ def gar_rerank(
 
 
 def rerank_run(
-    runs: Mapping[str, Sequence[tuple[str, float]]],
+    pools: Mapping[str, Ranking],
     scorer: Scorer,
     config: ReRankConfig = ReRankConfig(),
     graph: CorpusGraph | None = None,
     query_texts: Mapping[str, str] | None = None,
 ) -> dict[str, Ranking]:
-    """Re-rank every query of a run; graph-adaptive when a graph is given."""
+    """Re-rank every query's initial pool; graph-adaptive when a graph is given."""
     out: dict[str, Ranking] = {}
-    for qid in sorted(runs):
-        r0 = Ranking.from_pairs(qid, runs[qid])
+    for qid in sorted(pools):
         text = query_texts.get(qid, "") if query_texts else ""
-        out[qid] = _rerank(r0, scorer, config, graph, text)
+        out[qid] = _rerank(pools[qid], scorer, config, graph, text)
     return out
 
 
@@ -387,6 +396,8 @@ def trace_rows(r0: Ranking, result: Ranking) -> list[TraceRow]:
     """Provenance rows for a re-ranked list against its initial pool."""
     initial = {docid: rank for rank, docid in enumerate(r0.docids(), 1)}
     return [
-        TraceRow(result.qid, entry.docid, initial.get(entry.docid), rank, entry.provenance, entry.source)
-        for rank, entry in enumerate(result, 1)
+        TraceRow(result.qid, docid, initial.get(docid), rank, provenance, source)
+        for rank, (docid, provenance, source) in enumerate(
+            zip(result.docids(), result.provenances(), result.sources()), 1
+        )
     ]

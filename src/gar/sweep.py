@@ -8,6 +8,7 @@ from typing import Mapping, Sequence
 
 from .evaluate import Qrels, metric_fn
 from .graph import CorpusGraph
+from .ranking import Ranking
 from .rerank import ReRankConfig, Scorer, rerank_run
 
 VARY_K = "k"
@@ -44,6 +45,7 @@ def sweep_parameter(
     if not values:
         raise ValueError("no sweep values given")
     fns = {spec: metric_fn(spec, gain) for spec in metrics}
+    pools = {qid: Ranking.from_pairs(qid, pairs) for qid, pairs in runs.items()}
     rows: list[SweepRow] = []
     for value in values:
         if vary == VARY_K:
@@ -52,7 +54,7 @@ def sweep_parameter(
         else:
             swept_graph = graph
             swept_config = ReRankConfig(batch_size=value, budget=config.budget)
-        rankings = rerank_run(runs, scorer, swept_config, swept_graph, query_texts)
+        rankings = rerank_run(pools, scorer, swept_config, swept_graph, query_texts)
         run_out = {qid: ranking.pairs() for qid, ranking in rankings.items()}
         rows.append(SweepRow(value, {spec: fns[spec](run_out, qrels).mean for spec in metrics}))
     return rows

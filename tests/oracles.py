@@ -182,6 +182,75 @@ def reference_rerank(
     return out
 
 
+def reference_backfill(base: float, n: int) -> list[float]:
+    """Backfill scores one at a time: steps of 1e-6 below `base`, or one
+    float spacing below the previous score where 1e-6 no longer registers."""
+    out: list[float] = []
+    previous = base
+    for i in range(n):
+        value = base - (i + 1) * 1e-6
+        if value >= previous:
+            value = math.nextafter(previous, -math.inf)
+        out.append(value)
+        previous = value
+    return out
+
+
+# --- run and trace files ----------------------------------------------------
+
+
+def reference_read_run(path) -> dict[str, list[tuple[str, float]]]:
+    """TREC run reader, one line at a time, with the reader's error messages."""
+    runs: dict[str, list[tuple[str, float]]] = {}
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) != 6:
+                raise ValueError(f"{path}: line {lineno}: expected 'qid Q0 docid rank score tag'")
+            qid, _, docid, raw_rank, raw_score, _ = parts
+            try:
+                rank = int(raw_rank)
+                score = float(raw_score)
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: bad rank or score") from None
+            if not math.isfinite(score):
+                raise ValueError(
+                    f"{path}: line {lineno}: non-finite score {raw_score!r} for query {qid!r} doc {docid!r}"
+                )
+            earlier = runs.setdefault(qid, [])
+            if earlier and rank <= earlier[-1][2]:
+                raise ValueError(f"{path}: line {lineno}: rank {rank} out of order for query {qid!r}")
+            if any(seen == docid for seen, _, _ in earlier):
+                raise ValueError(f"{path}: line {lineno}: duplicate doc {docid!r} for query {qid!r}")
+            earlier.append((docid, score, rank))
+    return {qid: [(docid, score) for docid, score, _ in rows] for qid, rows in runs.items()}
+
+
+def reference_run_text(rankings: dict[str, list[tuple[str, float]]], tag: str) -> str:
+    """Run file text, one formatted line per (docid, score), qids sorted."""
+    return "".join(
+        f"{qid} Q0 {docid} {rank} {score:.6f} {tag}\n"
+        for qid in sorted(rankings)
+        for rank, (docid, score) in enumerate(rankings[qid], 1)
+    )
+
+
+def reference_trace_text(
+    pools: dict[str, list[str]], outputs: dict[str, list[tuple[str, str, str | None]]]
+) -> str:
+    """Trace file text from each pool's docids and each output's (docid,
+    provenance, source) rows, qids sorted."""
+    lines = ["qid\tdocid\tinitial_rank\tfinal_rank\tprovenance\tsource_docid\n"]
+    for qid in sorted(outputs):
+        for rank, (docid, provenance, source) in enumerate(outputs[qid], 1):
+            initial = pools[qid].index(docid) + 1 if docid in pools[qid] else "NA"
+            lines.append(f"{qid}\t{docid}\t{initial}\t{rank}\t{provenance}\t{'NA' if source is None else source}\n")
+    return "".join(lines)
+
+
 # --- metrics ----------------------------------------------------------------
 
 

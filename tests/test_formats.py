@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gar import (
     MetricValues,
+    RankEntry,
     Ranking,
     TraceRow,
     read_corpus,
@@ -20,6 +25,9 @@ from gar import (
     write_run,
     write_trace,
 )
+from gar import formats
+from gar.formats import _read_run_columns
+from oracles import reference_read_run, reference_run_text, reference_trace_text
 
 
 # --- corpus ------------------------------------------------------------------
@@ -152,21 +160,194 @@ def test_run_interleaved_qids_allowed(tmp_path):
     assert read_run(path) == {"q1": [("a", 1.0), ("b", 0.9)], "q2": [("a", 1.0)]}
 
 
+def test_run_read_errors_match_row_reference(tmp_path):
+    # each malformed case of test_run_read_errors, alone and after a block of
+    # well-formed lines, raises the row reader's message at the same line
+    cases = [
+        "q1 Q0 a 1\n",
+        "q1 Q0 a one 1.0 t\n",
+        "q1 Q0 a 1 high t\n",
+        "q1 Q0 a 1 1.0 t\nq1 Q0 b 1 0.9 t\n",
+        "q1 Q0 a 2 1.0 t\nq1 Q0 b 1 0.9 t\n",
+        "q1 Q0 a 1 1.0 t\nq1 Q0 a 2 0.9 t\n",
+        "q1 Q0 a 1 nan t\n",
+        "q1 Q0 a 1 1.0 t\n \n",
+    ]
+    good = "".join(f"q0 Q0 d{i} {i + 1} {1.0 - i / 10} t\n" for i in range(5))
+    for case in cases:
+        for content in (case, good + case):
+            path = tmp_path / "run.txt"
+            path.write_text(content)
+            with pytest.raises(ValueError) as want:
+                reference_read_run(path)
+            with pytest.raises(ValueError) as got:
+                read_run(path)
+            assert str(got.value) == str(want.value)
+
+
+SEPARATORS = [" ", "\t", "   ", " \t ", "\x0b", "\x1f"]
+RANK_FORMS = ["{}", "+{}", "0{}", "{}_0"]
+SCORES = ["1.5", "1e-3", "-0.0", "+2", "0", "-7.25", "3.0000001", "1_0.5", "123456789.123456789"]
+BAD_TOKENS = ["x", "nan", "inf", "-inf", "99999999999999999999", "1.5.5", "", "a\x1cb", "dé", "a\x00"]
+
+
+@st.composite
+def run_files(draw):
+    """Run file text: per-query blocks of increasing ranks, optionally
+    interleaved, with mixed separators, blank lines and line endings, and
+    at times one corrupted line."""
+    lines = []
+    for qid in draw(st.lists(st.sampled_from(["q1", "q2", "q10"]), max_size=3, unique=True)):
+        docids = draw(st.lists(st.sampled_from(["a", "b", "c10", "a\x00", "d%s"]), max_size=5, unique=True))
+        rank = draw(st.integers(0, 4))
+        for docid in docids:
+            rank += draw(st.integers(1, 3))
+            rank_text = draw(st.sampled_from(RANK_FORMS)).format(rank)
+            lines.append([qid, "Q0", docid, rank_text, draw(st.sampled_from(SCORES)), "tag"])
+    if draw(st.booleans()):
+        lines = draw(st.permutations(lines))
+    if lines and draw(st.booleans()):
+        row = lines[draw(st.integers(0, len(lines) - 1))]
+        action = draw(st.sampled_from(["field", "drop", "extra", "copy"]))
+        if action == "field":
+            row[draw(st.sampled_from([2, 3, 4]))] = draw(st.sampled_from(BAD_TOKENS))
+        elif action == "drop":
+            row.pop()
+        elif action == "extra":
+            row.append("more")
+        else:
+            lines.append(list(row))
+    text = ""
+    for row in lines:
+        if draw(st.integers(0, 4)) == 0:
+            text += draw(st.sampled_from(["\n", " \n", "\t\n"]))
+        line = draw(st.sampled_from(SEPARATORS)).join(row)
+        if draw(st.integers(0, 4)) == 0:
+            line = " " + line + "\t"
+        text += line + draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    if text and draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text
+
+
+def _read_outcome(reader, path):
+    try:
+        return "ok", repr(reader(path))  # repr keeps the sign of -0.0
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=250)
+@given(run_files())
+def test_read_run_matches_row_reference(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "read_run.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert _read_outcome(read_run, path) == _read_outcome(reference_read_run, path)
+
+
+def test_read_run_parses_well_formed_files_by_column(tmp_path):
+    # blank lines, tabs, runs of spaces, +1, 1e-3 and -0.0 stay on the column path
+    text = "q2 Q0 b +1 1e-3 t\n\nq2\tQ0\ta  2   -0.0 t\r\nq1 Q0 a 010 2 tag\n"
+    path = tmp_path / "run.txt"
+    path.write_text(text)
+    with open(path, encoding="utf-8") as fh:
+        assert _read_run_columns(fh) is not None
+    assert repr(read_run(path)) == repr(reference_read_run(path))
+    interleaved = "q1 Q0 a 1 1.0 t\nq2 Q0 b 2 1.0 t\nq1 Q0 c 3 0.9 t\n"
+    assert _read_run_columns(io.StringIO(interleaved)) is None
+
+
+@pytest.mark.parametrize("block_chars", [1, 5, 17, 100, 1 << 16])
+def test_read_run_column_blocks_may_end_anywhere(tmp_path, monkeypatch, block_chars):
+    monkeypatch.setattr(formats, "_RUN_BLOCK_CHARS", block_chars)
+    path = tmp_path / "run.txt"
+    lines = [f"q{q} Q0 d{(7 * i) % 50} {i + 1} {1.0 - i / 64} t\n" for q in range(4) for i in range(50)]
+    path.write_text("".join(lines))
+    with open(path, encoding="utf-8") as fh:
+        assert _read_run_columns(fh) is not None
+    assert repr(read_run(path)) == repr(reference_read_run(path))
+    path.write_text("".join(lines[:-1]) + "q3 Q0 d1 51 x t\n")
+    with pytest.raises(ValueError, match="line 200: bad rank or score"):
+        read_run(path)
+
+
+def test_read_run_keeps_docids_that_differ_by_a_trailing_nul(tmp_path):
+    path = tmp_path / "run.txt"
+    path.write_text("q Q0 a\x00 1 2.0 t\nq Q0 a 2 1.0 t\n")
+    assert read_run(path) == {"q": [("a\x00", 2.0), ("a", 1.0)]}
+    path.write_text("q Q0 a\x00 1 2.0 t\nq Q0 a\x00 2 1.0 t\n")
+    with pytest.raises(ValueError, match=r"line 2: duplicate doc 'a\\x00'"):
+        read_run(path)
+
+
+@pytest.mark.parametrize("score", [float("nan"), float("inf"), float("-inf")])
+def test_write_run_rejects_non_finite_score(tmp_path, score):
+    path = tmp_path / "run.txt"
+    ranking = Ranking.from_pairs("q", [("a", 1.0), ("b", score)])
+    with pytest.raises(ValueError, match=rf"non-finite score {score!r} for query 'q' doc 'b'"):
+        write_run(path, {"q": ranking})
+    with pytest.raises(ValueError, match="non-finite score"):
+        write_run(path, {"q": [("a", score)]})
+    assert not path.exists()
+
+
+finite_scores = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-7, -5e-7, 1e300])
+names = st.text(st.sampled_from("ab9%{}é\x00"), min_size=1, max_size=3)
+
+
+@settings(max_examples=150)
+@given(
+    st.dictionaries(names, st.lists(st.tuples(names, finite_scores), max_size=6, unique_by=lambda p: p[0]), max_size=4),
+    st.booleans(),
+    names,
+)
+def test_write_run_matches_line_reference(tmp_path_factory, runs, as_rankings, tag):
+    path = tmp_path_factory.getbasetemp() / "write_run.txt"
+    rankings = {qid: Ranking.from_pairs(qid, pairs) for qid, pairs in runs.items()} if as_rankings else runs
+    write_run(path, rankings, tag)
+    assert path.read_bytes() == reference_run_text(runs, tag).encode("utf-8")
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_write_trace_matches_line_reference(tmp_path_factory, data):
+    pools, rankings, outputs = {}, {}, {}
+    for qid in data.draw(st.lists(names, max_size=4, unique=True)):
+        pool = data.draw(st.lists(names, min_size=1, max_size=6, unique=True))
+        extra = data.draw(st.lists(names.filter(lambda d: d not in pool), max_size=3, unique=True))
+        order = data.draw(st.permutations(pool + extra))
+        rows = [
+            (docid, "initial", None) if docid in pool and data.draw(st.booleans()) else (docid, "frontier", data.draw(names))
+            for docid in order
+        ]
+        pools[qid] = Ranking.from_pairs(qid, [(docid, 0.0) for docid in pool])
+        rankings[qid] = Ranking(qid, [RankEntry(docid, 1.0, provenance, source) for docid, provenance, source in rows])
+        outputs[qid] = rows
+    path = tmp_path_factory.getbasetemp() / "write_trace.tsv"
+    write_trace(path, pools, rankings)
+    want = reference_trace_text({qid: ranking.docids() for qid, ranking in pools.items()}, outputs)
+    assert path.read_bytes() == want.encode("utf-8")
+
+
 # --- trace -------------------------------------------------------------------
 
 
 def test_trace_round_trip(tmp_path):
-    rows = [
-        TraceRow("q1", "d4", None, 1, "frontier", "d0"),
-        TraceRow("q1", "d0", 1, 2, "initial", None),
-    ]
+    pools = {"q1": Ranking.from_pairs("q1", [("d0", 2.0), ("d1", 1.0)])}
+    rankings = {
+        "q1": Ranking("q1", [RankEntry("d4", 3.0, "frontier", "d0"), RankEntry("d0", 2.0), RankEntry("d1", 1.0)])
+    }
     path = tmp_path / "trace.tsv"
-    write_trace(path, rows)
+    write_trace(path, pools, rankings)
     lines = path.read_text().splitlines()
     assert lines[0] == "qid\tdocid\tinitial_rank\tfinal_rank\tprovenance\tsource_docid"
     assert lines[1] == "q1\td4\tNA\t1\tfrontier\td0"
     assert lines[2] == "q1\td0\t1\t2\tinitial\tNA"
-    assert read_trace(path) == rows
+    assert read_trace(path) == [
+        TraceRow("q1", "d4", None, 1, "frontier", "d0"),
+        TraceRow("q1", "d0", 1, 2, "initial", None),
+        TraceRow("q1", "d1", 2, 3, "initial", None),
+    ]
 
 
 def test_trace_bad_header(tmp_path):
@@ -178,10 +359,32 @@ def test_trace_bad_header(tmp_path):
 
 def test_trace_bad_field_count(tmp_path):
     path = tmp_path / "trace.tsv"
-    write_trace(path, [])
+    write_trace(path, {}, {})
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("q1\ta\t1\t1\tinitial\n")
     with pytest.raises(ValueError, match="expected 6 tab-separated fields"):
+        read_trace(path)
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["q1\ta\tx\t1\tinitial\tNA", "q1\ta\t1\tx\tinitial\tNA", "q1\ta\t1\t2.0\tinitial\tNA"],
+)
+def test_trace_bad_rank(tmp_path, row):
+    path = tmp_path / "trace.tsv"
+    write_trace(path, {}, {})
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(row + "\n")
+    with pytest.raises(ValueError, match=r"trace.tsv: line 2: bad initial_rank or final_rank$"):
+        read_trace(path)
+
+
+def test_trace_bad_provenance(tmp_path):
+    path = tmp_path / "trace.tsv"
+    write_trace(path, {}, {})
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("q1\ta\t1\t1\tinitial\tNA\nq1\tb\tNA\t2\tgraph\tNA\n")
+    with pytest.raises(ValueError, match="line 3: bad provenance 'graph'"):
         read_trace(path)
 
 

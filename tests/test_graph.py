@@ -47,6 +47,34 @@ def test_validation_neighbour_out_of_range():
         make_graph([[5], [SENTINEL]])
 
 
+def test_validation_rejects_ids_that_would_wrap_in_uint32():
+    # 2**32 + 1 would wrap to an edge to doc 1, and -1 to the sentinel
+    edges = np.array([[1], [2**32 + 1]], dtype=np.int64)
+    with pytest.raises(ValueError, match="row 1 has a neighbour id out of range"):
+        CorpusGraph(edges, DocMap(["a", "b"]))
+    edges = np.array([[1], [-1]], dtype=np.int64)
+    with pytest.raises(ValueError, match="row 1 has a neighbour id out of range"):
+        CorpusGraph(edges, DocMap(["a", "b"]))
+
+
+def test_validation_rejects_negative_id_in_list():
+    with pytest.raises(ValueError, match="row 0 has a neighbour id out of range"):
+        CorpusGraph([[-1], [0]], DocMap(["a", "b"]))
+
+
+def test_validation_rejects_float_table():
+    with pytest.raises(ValueError, match="must hold integer ids, got dtype float64"):
+        CorpusGraph(np.array([[1.9], [0.2]]), DocMap(["a", "b"]))
+
+
+def test_int64_table_with_sentinel_padding_loads():
+    edges = np.array([[1, SENTINEL], [SENTINEL, SENTINEL], [0, 1]], dtype=np.int64)
+    g = CorpusGraph(edges, DocMap(["a", "b", "c"]))
+    assert g.edges.dtype == np.uint32
+    assert g.edges.tolist() == edges.tolist()
+    assert [g.degree(doc) for doc in range(3)] == [1, 0, 2]
+
+
 def test_validation_self_edge():
     with pytest.raises(ValueError, match="self edge"):
         make_graph([[0], [SENTINEL]])

@@ -17,13 +17,13 @@ from gar import (
     Ranking,
     ReRankConfig,
     SENTINEL,
-    backfill,
     gar_rerank,
     rerank_run,
     trace_rows,
     typical_rerank,
 )
-from oracles import closure, reference_rerank
+from gar.rerank import backfill
+from oracles import closure, reference_backfill, reference_rerank
 from synthdata import (
     CountingScorer,
     FailingScorer,
@@ -59,6 +59,37 @@ def test_ranking_rejects_duplicates():
         Ranking.from_pairs("q", [("a", 2.0), ("a", 1.0)])
 
 
+def test_ranking_docids_differing_by_trailing_nul_are_distinct():
+    r = Ranking.from_pairs("q", [("a\x00", 2.0), ("a", 1.0)])
+    assert r.docids() == ["a\x00", "a"]
+    with pytest.raises(ValueError, match="duplicate docid"):
+        Ranking.from_pairs("q", [("a\x00", 2.0), ("a\x00", 1.0)])
+
+
+def test_rerank_orders_ties_by_str_with_trailing_nul():
+    # "a" < "a\x00" < "b" as str; a numpy U array would hold "a\x00" as "a"
+    pool = ["b", "a\x00", "a", "c"]
+    r0 = Ranking.from_pairs("q", [(d, float(4 - i)) for i, d in enumerate(pool)])
+    scores = dict.fromkeys(pool, 1.0)
+    out = typical_rerank(r0, MapScorer(scores), ReRankConfig(batch_size=4, budget=3))
+    assert out.docids() == ["a", "a\x00", "b", "c"]
+    want = reference_rerank(pool, lambda batch: [scores[d] for d in batch], {}, 4, 3)
+    assert [(e.docid, e.score, e.provenance, e.source) for e in out] == want
+
+
+def test_ranking_builds_entries_from_columns():
+    entries = [RankEntry("a", 2.0, PROV_FRONTIER, "z"), RankEntry("b", 1)]
+    r = Ranking("q", entries)
+    assert list(r) == entries
+    assert r[-1] == RankEntry("b", 1.0)
+    assert r[:1] == (entries[0],)
+    assert r.provenances() == (PROV_FRONTIER, PROV_INITIAL)
+    assert r.sources() == ("z", None)
+    assert r.scores().tolist() == [2.0, 1.0]
+    with pytest.raises(ValueError):
+        r.scores()[0] = 5.0
+
+
 def test_rank_entry_defaults():
     entry = RankEntry("a", 1.0)
     assert entry.provenance == PROV_INITIAL
@@ -85,22 +116,12 @@ def test_config_validation():
 
 
 def test_backfill_steps_below_min_scored():
-    scored = [RankEntry("a", 0.4), RankEntry("b", 0.1)]
-    got = backfill(["x", "y", "z"], scored)
-    assert [e.docid for e in got] == ["x", "y", "z"]
-    assert got[0].score == 0.1 - BACKFILL_EPSILON
-    assert got[1].score == 0.1 - 2 * BACKFILL_EPSILON
-    assert got[2].score == 0.1 - 3 * BACKFILL_EPSILON
-    assert all(e.provenance == PROV_INITIAL for e in got)
-
-
-def test_backfill_empty_scored_uses_zero_base():
-    got = backfill(["x"], [])
-    assert got[0].score == -BACKFILL_EPSILON
+    got = backfill(min(0.4, 0.1), 3)
+    assert got.tolist() == [0.1 - BACKFILL_EPSILON, 0.1 - 2 * BACKFILL_EPSILON, 0.1 - 3 * BACKFILL_EPSILON]
 
 
 def test_backfill_empty_remainder():
-    assert backfill([], [RankEntry("a", 1.0)]) == []
+    assert backfill(1.0, 0).tolist() == []
 
 
 def test_backfill_stays_strictly_below_scored_block_at_large_magnitude():
@@ -117,12 +138,27 @@ def test_backfill_stays_strictly_below_scored_block_at_large_magnitude():
 
 @given(st.integers(1, 50), st.floats(-5, 5, allow_nan=False))
 def test_backfill_preserves_order_and_monotonicity(n, base):
-    scored = [RankEntry("s", base)]
-    got = backfill([f"r{i}" for i in range(n)], scored)
-    scores = [e.score for e in got]
+    scores = backfill(base, n).tolist()
     assert scores == sorted(scores, reverse=True)
     assert len(set(scores)) == n
     assert max(scores) < base
+
+
+@settings(max_examples=300)
+@given(
+    st.floats(0, 1e15) | st.sampled_from([0.0, 1e9, 8e9, 1e10, 1e12, 1e15]) | st.floats(-1e15, 0),
+    st.integers(0, 3000),
+)
+def test_backfill_matches_loop_reference(base, n):
+    assert backfill(base, n).tolist() == reference_backfill(base, n)
+
+
+def test_backfill_falls_back_to_loop_where_steps_round_away():
+    # at 1e10 a 1e-6 step is below one float spacing, at 1e15 it rounds to nothing
+    for base in (1e10, 1e15):
+        fast = base - np.arange(1, 4) * BACKFILL_EPSILON
+        assert not (fast[0] < base and (np.diff(fast) < 0).all())
+        assert backfill(base, 3).tolist() == reference_backfill(base, 3)
 
 
 # --- typical re-ranking -----------------------------------------------------
@@ -482,11 +518,11 @@ def test_rerank_matches_reference_model(instance, adaptive):
 
 
 def test_rerank_run_handles_multiple_queries():
-    runs = {
-        "q2": [("a", 2.0), ("b", 1.0)],
-        "q1": [("b", 2.0), ("c", 1.0)],
+    pools = {
+        "q2": Ranking.from_pairs("q2", [("a", 2.0), ("b", 1.0)]),
+        "q1": Ranking.from_pairs("q1", [("b", 2.0), ("c", 1.0)]),
     }
-    out = rerank_run(runs, HashScorer(), ReRankConfig(batch_size=2, budget=2))
+    out = rerank_run(pools, HashScorer(), ReRankConfig(batch_size=2, budget=2))
     assert list(out) == ["q1", "q2"]
     assert out["q1"].qid == "q1"
     assert set(out["q1"].docids()) == {"b", "c"}
@@ -501,7 +537,7 @@ def test_rerank_run_passes_query_text():
             return [0.0] * len(docids)
 
     rerank_run(
-        {"q1": [("a", 1.0)], "q2": [("a", 1.0)]},
+        {qid: Ranking.from_pairs(qid, [("a", 1.0)]) for qid in ("q1", "q2")},
         TextProbe(),
         ReRankConfig(),
         query_texts={"q1": "hello world"},
