@@ -7,6 +7,7 @@ when fewer than k exist. At k=8 that is 32 bytes per doc.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 from typing import Callable, Sequence
@@ -47,7 +48,12 @@ class CorpusGraph:
     __slots__ = ("_edges", "_docmap", "_degrees", "_n_edges")
 
     def __init__(self, edges: np.ndarray, docmap: DocMap):
-        edges = np.asarray(edges)
+        self._set(np.asarray(edges), docmap, copy=True)
+
+    def _set(self, edges: np.ndarray, docmap: DocMap, copy: bool) -> None:
+        """Validate and keep `edges`. Without `copy`, a C-ordered uint32
+        array is kept as it is, so only a caller that owns the array and no
+        longer writes to it may pass copy=False."""
         if edges.ndim != 2:
             raise ValueError(f"edge table must be 2-dimensional, got shape {edges.shape}")
         if edges.dtype.kind not in "iu":
@@ -57,11 +63,11 @@ class CorpusGraph:
             raise ValueError(
                 f"edge table has {n_docs} rows but docmap has {len(docmap)} docs"
             )
-        # checked in the given dtype before the kept uint32 copy exists, so
-        # no id wraps around and the block temporaries add nothing to the
-        # peak of a large table
+        # checked in the given dtype before any uint32 copy exists, so no id
+        # wraps around and the block temporaries add nothing to the peak of
+        # a large table
         self._degrees = self._validate_rows(edges)
-        edges = edges.astype(np.uint32, order="C")
+        edges = edges.astype(np.uint32, order="C", copy=copy)
         edges.setflags(write=False)
         self._edges = edges
         self._docmap = docmap
@@ -138,7 +144,10 @@ class CorpusGraph:
 
     @classmethod
     def load(cls, path: str | Path) -> "CorpusGraph":
-        return cls(*_read_table(Path(path), MAGIC, "<u4", "edge"))
+        graph = cls.__new__(cls)
+        # the table read from the file is fresh and read-only: kept uncopied
+        graph._set(*_read_table(Path(path), MAGIC, "<u4", "edge"), copy=False)
+        return graph
 
 
 def _write_table(path: Path, magic: bytes, dtype: str, table: np.ndarray, docmap: DocMap) -> None:
@@ -150,7 +159,8 @@ def _write_table(path: Path, magic: bytes, dtype: str, table: np.ndarray, docmap
 
 
 def _read_table(path: Path, magic: bytes, dtype: str, what: str) -> tuple[np.ndarray, DocMap]:
-    """Table and docmap written by `_write_table`; `what` names the table in errors."""
+    """Read-only table and docmap written by `_write_table`; `what` names the
+    table in errors."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
@@ -160,15 +170,18 @@ def _read_table(path: Path, magic: bytes, dtype: str, what: str) -> tuple[np.nda
             raise ValueError(f"bad magic: expected {magic!r}, got {got!r}")
         if version != VERSION:
             raise ValueError(f"unsupported version: {version}")
-        payload = fh.read()
-    expected = np.dtype(dtype).itemsize * rows * cols
-    if len(payload) != expected:
-        raise ValueError(f"truncated {what} table: expected {expected} bytes, got {len(payload)}")
-    table = np.frombuffer(payload, dtype=dtype).reshape(rows, cols)
+        expected = np.dtype(dtype).itemsize * rows * cols
+        size = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if size != expected:
+            raise ValueError(f"truncated {what} table: expected {expected} bytes, got {size}")
+        # read straight into the array, so the file's bytes are never held
+        # beside it
+        table = np.fromfile(fh, dtype=dtype, count=rows * cols)
+    table.setflags(write=False)
     docmap = DocMap.load(docmap_path(path))
     if len(docmap) != rows:
         raise ValueError(f"docmap lists {len(docmap)} docs but {what} file declares {rows}")
-    return table, docmap
+    return table.reshape(rows, cols), docmap
 
 
 def docmap_path(path: str | Path) -> Path:

@@ -11,6 +11,7 @@ import hashlib
 import heapq
 import itertools
 import math
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
@@ -27,6 +28,11 @@ from .ranking import PROV_FRONTIER, PROV_INITIAL, Ranking
 BACKFILL_EPSILON = 1e-6
 
 Qrels = Mapping[str, Mapping[str, int]]
+
+# OracleScorer noise: a 16-byte digest as two big-endian words, 53 bits each
+_TWO_U64 = struct.Struct(">QQ")
+_2_POW_MINUS_53 = 2.0**-53
+_TWO_PI = 2.0 * math.pi
 
 
 class Scorer(Protocol):
@@ -124,12 +130,19 @@ class OracleScorer:
     """Scores docs by relevance label, plus optional seeded Gaussian noise.
 
     Noise is a pure function of (seed, qid, docid), so scores do not depend
-    on batch composition, call order, or the process running them.
+    on batch composition, call order, or the process running them. The key
+    is seed, qid and docid joined by U+001F and encoded as UTF-8. Its 16-byte
+    blake2b digest is read as two big-endian 64-bit words x and y, which give
+    the uniforms u1 = ((x >> 11) + 1) * 2**-53 in (0, 1] and
+    u2 = (y >> 11) * 2**-53 in [0, 1), and the noise is the Box-Muller normal
+    noise_sd * sqrt(-2 ln u1) * cos(2 pi u2).
     """
 
     __slots__ = ("_qrels", "_noise_sd", "_seed")
 
     def __init__(self, qrels: Qrels, noise_sd: float = 0.0, seed: int | None = None):
+        if not math.isfinite(noise_sd):
+            raise ValueError(f"noise_sd must be finite, got {noise_sd}")
         if noise_sd < 0:
             raise ValueError(f"noise_sd must be non-negative, got {noise_sd}")
         if noise_sd > 0 and seed is None:
@@ -140,19 +153,24 @@ class OracleScorer:
 
     def score_batch(self, qid: str, query: str, docids: Sequence[str]) -> list[float]:
         labels = self._qrels.get(qid, {})
+        scores = [float(labels.get(docid, 0)) for docid in docids]
+        if self._noise_sd > 0.0:
+            scores = [score + noise for score, noise in zip(scores, self._noise(qid, docids))]
+        return scores
+
+    def _noise(self, qid: str, docids: Sequence[str]) -> list[float]:
+        # the key prefix is hashed once per batch; a copy of that state
+        # updated with the docid gives the digest of the whole key
+        prefix = hashlib.blake2b(f"{self._seed}\x1f{qid}\x1f".encode("utf-8"), digest_size=16)
         out = []
         for docid in docids:
-            score = float(labels.get(docid, 0))
-            if self._noise_sd > 0.0:
-                score += self._noise(qid, docid)
-            out.append(score)
+            key = prefix.copy()
+            key.update(docid.encode("utf-8"))
+            x, y = _TWO_U64.unpack(key.digest())
+            u1 = ((x >> 11) + 1) * _2_POW_MINUS_53
+            u2 = (y >> 11) * _2_POW_MINUS_53
+            out.append(self._noise_sd * math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2))
         return out
-
-    def _noise(self, qid: str, docid: str) -> float:
-        key = f"{self._seed}\x1f{qid}\x1f{docid}".encode("utf-8")
-        digest = hashlib.blake2b(key, digest_size=8).digest()
-        rng = np.random.default_rng(int.from_bytes(digest, "big"))
-        return float(rng.normal(0.0, self._noise_sd))
 
 
 class Bm25Scorer:

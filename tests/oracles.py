@@ -7,6 +7,7 @@ graph, or metric internals.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from collections import Counter
 from typing import Callable
@@ -194,6 +195,18 @@ def reference_backfill(base: float, n: int) -> list[float]:
         out.append(value)
         previous = value
     return out
+
+
+def reference_noise(seed: int, qid: str, docid: str, sd: float) -> float:
+    """Oracle noise from its definition: the whole key hashed in one call,
+    the digest split into two big-endian words, their top 53 bits taken as
+    uniforms, and one Box-Muller normal."""
+    digest = hashlib.blake2b(f"{seed}\x1f{qid}\x1f{docid}".encode("utf-8"), digest_size=16).digest()
+    x = int.from_bytes(digest[:8], "big") // 2**11
+    y = int.from_bytes(digest[8:], "big") // 2**11
+    u1 = (x + 1) / 2**53
+    u2 = y / 2**53
+    return sd * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
 # --- run and trace files ----------------------------------------------------

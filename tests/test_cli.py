@@ -326,6 +326,22 @@ def test_cli_error_paths(workdir, capsys):
     assert rc == 2
     assert "--seed is required" in err(capsys)
 
+    for noise_sd in ("nan", "inf"):
+        rc = run_cli(
+            "rerank", "--run-in", run0, "--mode", "typical",
+            "--scorer", f"oracle:{qrels}", "--noise-sd", noise_sd, "--seed", "1",
+            "--run-out", workdir / "x.txt",
+        )
+        assert rc == 2
+        assert f"noise_sd must be finite, got {noise_sd}" in err(capsys)
+    rc = run_cli(
+        "rerank", "--run-in", run0, "--mode", "typical",
+        "--scorer", f"oracle:{qrels}", "--noise-sd", "nan", "--run-out", workdir / "x.txt",
+    )
+    assert rc == 2
+    assert "noise_sd must be finite, got nan" in err(capsys)
+    assert not (workdir / "x.txt").exists()
+
     rc = run_cli(
         "rerank", "--run-in", run0, "--mode", "typical",
         "--scorer", "neural", "--run-out", workdir / "x.txt",

@@ -147,6 +147,28 @@ def test_edges_are_immutable():
         g.edges[0, 0] = 0
 
 
+def test_loaded_edges_are_immutable(tmp_path):
+    path = tmp_path / "graph.bin"
+    make_graph([[1], [SENTINEL]]).save(path)
+    g = CorpusGraph.load(path)
+    with pytest.raises(ValueError):
+        g.edges[0, 0] = 0
+    with pytest.raises(ValueError):
+        g.edges.setflags(write=True)
+    assert g.neighbours(0) == [1]
+
+
+@pytest.mark.parametrize("dtype", [np.uint32, np.int64])
+def test_graph_keeps_a_copy_of_the_callers_table(dtype):
+    edges = np.array([[1, SENTINEL], [0, SENTINEL]], dtype=dtype)
+    g = CorpusGraph(edges, DocMap(["a", "b"]))
+    edges[0, 1] = 1
+    edges[1, 0] = SENTINEL
+    assert g.neighbours(0) == [1]
+    assert g.neighbours(1) == [0]
+    assert g.edges.tolist() == [[1, SENTINEL], [0, SENTINEL]]
+
+
 def test_zero_degree_graph():
     edges = np.zeros((3, 0), dtype=np.uint32)
     g = CorpusGraph(edges, DocMap(["a", "b", "c"]))
@@ -183,6 +205,9 @@ def test_save_load_round_trip(tmp_path):
     loaded = CorpusGraph.load(path)
     assert np.array_equal(loaded.edges, g.edges)
     assert loaded.docmap == g.docmap
+    again = tmp_path / "again.bin"
+    loaded.save(again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_load_bad_magic(tmp_path):
@@ -212,6 +237,16 @@ def test_load_truncated_payload(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw[:-3])
     with pytest.raises(ValueError, match="truncated edge table"):
+        CorpusGraph.load(path)
+
+
+@pytest.mark.parametrize("size", [0, 13, 17, 20])
+def test_load_table_size_mismatch_messages(tmp_path, size):
+    path = tmp_path / "graph.bin"
+    make_graph([[1, SENTINEL], [SENTINEL, SENTINEL]]).save(path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:16] + (raw[16:] + bytes(4))[:size])
+    with pytest.raises(ValueError, match=f"^truncated edge table: expected 16 bytes, got {size}$"):
         CorpusGraph.load(path)
 
 

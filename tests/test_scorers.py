@@ -1,9 +1,17 @@
 from __future__ import annotations
 
+import json
 import math
+import os
+import random
+import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gar
 from gar import (
     Bm25Params,
     Bm25Scorer,
@@ -14,6 +22,7 @@ from gar import (
     index_corpus,
 )
 from gar.lexical import bm25_scores
+from oracles import reference_noise
 from synthdata import HashScorer
 
 
@@ -149,6 +158,76 @@ def test_oracle_noise_distribution_is_plausible():
     sd = math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
     assert abs(mean) < 0.1
     assert 0.4 < sd < 0.6
+
+
+@pytest.mark.parametrize("noise_sd, seed", [(float("nan"), None), (float("nan"), 3), (float("inf"), 3), (float("-inf"), 3)])
+def test_oracle_rejects_non_finite_noise_sd(noise_sd, seed):
+    with pytest.raises(ValueError, match=f"noise_sd must be finite, got {noise_sd}"):
+        OracleScorer(QRELS, noise_sd, seed)
+
+
+def test_oracle_noise_pinned_values():
+    # a change to these values changes every --noise-sd run: make it deliberately
+    for seed, qid, docid, noise in [
+        (0, "q", "d", -0.047771487160927495),
+        (42, "q1", "a", 1.2887274229681889),
+        (7, "\u30af\u30a8\u30ea", "doc-\U0001f600", -1.590026991804109),
+    ]:
+        got = OracleScorer({}, 1.0, seed).score_batch(qid, "", [docid])[0]
+        assert got == pytest.approx(noise, rel=1e-12, abs=0)
+
+
+def test_oracle_noise_distribution_over_20k_draws():
+    sd = 0.5
+    values = OracleScorer({"q": {}}, noise_sd=sd, seed=11).score_batch("q", "", [f"doc-{i}" for i in range(20_000)])
+    assert abs(statistics.fmean(values)) < 0.02
+    assert abs(statistics.pstdev(values) - sd) < 0.015
+    cuts = statistics.quantiles(values, n=40)  # cut points every 2.5 %
+    assert cuts[0] == pytest.approx(-1.96 * sd, abs=0.04)
+    assert cuts[19] == pytest.approx(0.0, abs=0.02)
+    assert cuts[38] == pytest.approx(1.96 * sd, abs=0.04)
+
+
+def test_oracle_noise_is_exactly_batch_invariant():
+    scorer = OracleScorer({"q1": {"a": 3, "b": 1}, "q2": {"d7": 2}}, noise_sd=0.5, seed=5)
+    docids = ["a", "b", "c"] + [f"d{i}" for i in range(37)]
+    want = {(qid, d): scorer.score_batch(qid, "", [d])[0] for qid in ("q1", "q2") for d in docids}
+    for size in range(1, 18):
+        rng = random.Random(size)
+        order = {qid: rng.sample(docids, len(docids)) for qid in ("q1", "q2")}
+        for start in range(0, len(docids), size):
+            for qid in ("q1", "q2"):  # batches of the two queries interleave
+                batch = order[qid][start : start + size]
+                assert scorer.score_batch(qid, "", batch) == [want[(qid, d)] for d in batch]
+
+
+def test_oracle_noise_is_the_same_in_another_process():
+    docids = ["a", "b", "unjudged", "caf\u00e9"]
+    scorer = OracleScorer(QRELS, noise_sd=0.5, seed=13)
+    script = (
+        "import json, sys\n"
+        "from gar import OracleScorer\n"
+        "qrels, docids = json.loads(sys.stdin.read())\n"
+        "print(json.dumps([s.hex() for s in OracleScorer(qrels, 0.5, 13).score_batch('q1', '', docids)]))\n"
+    )
+    env = dict(os.environ, PYTHONHASHSEED="12345", PYTHONPATH=str(Path(gar.__file__).parents[1]))
+    child = subprocess.run(
+        [sys.executable, "-c", script],
+        input=json.dumps([QRELS, docids]), capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    got = [float.fromhex(h) for h in json.loads(child.stdout)]
+    assert got == scorer.score_batch("q1", "", docids)
+
+
+@pytest.mark.parametrize("qid", ["q1", "\u0437\u0430\u043f\u0440\u043e\u0441-1"])
+def test_oracle_noise_matches_its_definition(qid):
+    # the batch path hashes the key prefix once; the definition hashes the whole key
+    # NFC and NFD spellings of one word are different docids, and so get different noise
+    docids = ["a", "c", "unjudged", "", "d" * 200, "caf\u00e9", "cafe\u0301", "\u6587\u6863", "\U0001f642", "tab\tin", "\x1f"]
+    qrels = {qid: {"a": 3, "\u6587\u6863": 2}}
+    got = OracleScorer(qrels, noise_sd=0.5, seed=3).score_batch(qid, "", docids)
+    assert got == [qrels[qid].get(d, 0) + reference_noise(3, qid, d, 0.5) for d in docids]
+    assert len(set(got)) == len(docids)
 
 
 # --- Bm25Scorer ---------------------------------------------------------------
