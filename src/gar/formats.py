@@ -259,9 +259,15 @@ def read_trace(path: str | Path) -> list[TraceRow]:
             final_rank = int(final)
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: bad initial_rank or final_rank") from None
-        if provenance not in (PROV_INITIAL, PROV_FRONTIER):
+        # a frontier row names its source, which may be the docid NA; an
+        # initial row has none and always writes NA
+        if provenance == PROV_INITIAL:
+            if source != _NA:
+                raise ValueError(f"{path}: line {lineno}: initial row with source {source!r}, expected NA")
+            source = None
+        elif provenance != PROV_FRONTIER:
             raise ValueError(f"{path}: line {lineno}: bad provenance {provenance!r}")
-        rows.append(TraceRow(qid, docid, initial_rank, final_rank, provenance, None if source == _NA else source))
+        rows.append(TraceRow(qid, docid, initial_rank, final_rank, provenance, source))
     return rows
 
 

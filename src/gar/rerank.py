@@ -7,6 +7,7 @@ by the first stage can still reach the scorer within the same budget.
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import heapq
 import itertools
@@ -18,7 +19,7 @@ from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .graph import CorpusGraph
+from .graph import SENTINEL, CorpusGraph
 from .lexical import Bm25Params, InvertedIndex, bm25_scores, tokenize
 from .ranking import PROV_FRONTIER, PROV_INITIAL, Ranking
 
@@ -257,15 +258,23 @@ def _rerank(
 
     scored: dict[int, float] = {}
     via: dict[int, int] = {}  # frontier doc -> the scored doc that surfaced it
-    # Frontier: doc -> (priority, seq, source) plus a heap of (-priority, seq,
-    # doc). Pop order is priority descending, then first insertion. A re-push
-    # keeps the higher priority; a strictly higher one also takes over the
-    # source, and seq stays that of the first insertion. A doc leaves the
-    # frontier only to be scored and is never pushed again, so a heap tuple
-    # whose doc has no entry is stale.
-    frontier: dict[int, tuple[float, int, int]] = {}
-    heap: list[tuple[float, int, int]] = []
-    seq = 0
+    # Frontier: a heap of sources, one entry per scored graph doc, keyed by
+    # (-score, seq, arrival) and holding the doc's neighbour row. `first`
+    # numbers each doc where it first appears in a scored doc's row, which
+    # orders frontier docs by first insertion, and `arrival` numbers sources
+    # in scoring order. A source enters with seq -1 and its row as stored;
+    # the first time it reaches the top, its unscored neighbours are sorted
+    # by first insertion, and from then on seq is the number of the next one.
+    # Taking the top source's next neighbour pops docs by priority (the
+    # highest score among a doc's sources) descending, then first insertion,
+    # from the earliest-scored source of that priority: a strictly higher
+    # rediscovery takes over the score and the source, and the doc keeps its
+    # place. A neighbour drawn meanwhile through another source or the pool
+    # is skipped when reached, so seq may lag, never lead.
+    heap: list[tuple[float, int, int, int, list[int]]] = []
+    first: dict[int, int] = {}
+    numbers = itertools.count()
+    arrival = itertools.count()
     cursor = 0
 
     def docid_of(doc: int) -> str:
@@ -282,18 +291,24 @@ def _rerank(
                 doc = n_docs + len(outside)
                 outside.append(docid)
             if doc not in scored:
-                frontier.pop(doc, None)
                 batch.append(doc)
         return batch
 
     def draw_frontier(want: int) -> list[int]:
         batch: list[int] = []
-        while frontier and len(batch) < want:
-            doc = heapq.heappop(heap)[2]
-            entry = frontier.pop(doc, None)
-            if entry is not None:
-                batch.append(doc)
-                via[doc] = entry[2]
+        while heap and len(batch) < want:
+            negscore, next_seq, arrived, source, row = heap[0]
+            if next_seq < 0:
+                row = sorted(itertools.filterfalse(scored.__contains__, row), key=first.__getitem__, reverse=True)
+            else:
+                doc = row.pop()
+                if doc not in scored and doc not in via:
+                    batch.append(doc)
+                    via[doc] = source
+            if row:
+                heapq.heapreplace(heap, (negscore, first[row[-1]], arrived, source, row))
+            else:
+                heapq.heappop(heap)
         return batch
 
     pool_is_initial = True
@@ -320,20 +335,15 @@ def _rerank(
                 raise ValueError(f"scorer returned non-finite score {score!r} for query {qid!r} doc {docid!r}")
             scored[doc] = score
         if expand:
-            for doc, priority in zip(batch, scores):
-                if doc >= n_docs:
-                    continue
-                for nb in graph.neighbours(doc):
-                    if nb in scored:
-                        continue
-                    entry = frontier.get(nb)
-                    if entry is None:
-                        frontier[nb] = (priority, seq, doc)
-                        heapq.heappush(heap, (-priority, seq, nb))
-                        seq += 1
-                    elif priority > entry[0]:
-                        frontier[nb] = (priority, entry[1], doc)
-                        heapq.heappush(heap, (-priority, entry[1], nb))
+            expanding = [(doc, score) for doc, score in zip(batch, scores) if doc < n_docs]
+            rows = graph.edges[[doc for doc, _ in expanding]].tolist()
+            # number every neighbour not seen before, in one pass at C level
+            collections.deque(map(first.setdefault, itertools.chain.from_iterable(rows), numbers), 0)
+            for (doc, score), row in zip(expanding, rows):
+                if row[-1] == SENTINEL:
+                    row = row[: row.index(SENTINEL)]
+                if row:
+                    heapq.heappush(heap, (-score, -1, next(arrival), doc, row))
         pool_is_initial = not pool_is_initial
 
     # the scored block by (score desc, docid asc), then the backfilled rest of the pool

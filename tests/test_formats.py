@@ -333,21 +333,23 @@ def test_write_trace_matches_line_reference(tmp_path_factory, data):
 
 
 def test_trace_round_trip(tmp_path):
-    pools = {"q1": Ranking.from_pairs("q1", [("d0", 2.0), ("d1", 1.0)])}
-    rankings = {
-        "q1": Ranking("q1", [RankEntry("d4", 3.0, "frontier", "d0"), RankEntry("d0", 2.0), RankEntry("d1", 1.0)])
-    }
-    path = tmp_path / "trace.tsv"
-    write_trace(path, pools, rankings)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "qid\tdocid\tinitial_rank\tfinal_rank\tprovenance\tsource_docid"
-    assert lines[1] == "q1\td4\tNA\t1\tfrontier\td0"
-    assert lines[2] == "q1\td0\t1\t2\tinitial\tNA"
-    assert read_trace(path) == [
-        TraceRow("q1", "d4", None, 1, "frontier", "d0"),
-        TraceRow("q1", "d0", 1, 2, "initial", None),
-        TraceRow("q1", "d1", 2, 3, "initial", None),
-    ]
+    # a frontier row keeps its source even when that docid is the NA marker
+    for source in ("d0", "NA"):
+        pools = {"q1": Ranking.from_pairs("q1", [(source, 2.0), ("d1", 1.0)])}
+        rankings = {
+            "q1": Ranking("q1", [RankEntry("d4", 3.0, "frontier", source), RankEntry(source, 2.0), RankEntry("d1", 1.0)])
+        }
+        path = tmp_path / "trace.tsv"
+        write_trace(path, pools, rankings)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "qid\tdocid\tinitial_rank\tfinal_rank\tprovenance\tsource_docid"
+        assert lines[1] == f"q1\td4\tNA\t1\tfrontier\t{source}"
+        assert lines[2] == f"q1\t{source}\t1\t2\tinitial\tNA"
+        assert read_trace(path) == [
+            TraceRow("q1", "d4", None, 1, "frontier", source),
+            TraceRow("q1", source, 1, 2, "initial", None),
+            TraceRow("q1", "d1", 2, 3, "initial", None),
+        ]
 
 
 def test_trace_bad_header(tmp_path):
@@ -376,6 +378,15 @@ def test_trace_bad_rank(tmp_path, row):
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(row + "\n")
     with pytest.raises(ValueError, match=r"trace.tsv: line 2: bad initial_rank or final_rank$"):
+        read_trace(path)
+
+
+def test_trace_initial_row_with_source(tmp_path):
+    path = tmp_path / "trace.tsv"
+    write_trace(path, {}, {})
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("q1\ta\t1\t1\tinitial\tNA\nq1\tb\t2\t2\tinitial\ta\n")
+    with pytest.raises(ValueError, match="line 3: initial row with source 'a', expected NA"):
         read_trace(path)
 
 

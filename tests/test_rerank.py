@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -515,6 +517,105 @@ def test_rerank_matches_reference_model(instance, adaptive):
     want = reference_rerank(pool, score, neighbours, config.batch_size, config.budget)
     assert counting.batches == batches
     assert [(e.docid, e.score, e.provenance, e.source) for e in out] == want
+
+
+def test_rerank_matches_reference_model_at_mid_size():
+    # Larger graphs than the hypothesis instances, so that many sources tie
+    # at one priority and docs get drawn from deep inside a source's row.
+    rng = random.Random(8)
+    levels = {
+        "two-level": lambda: float(rng.randint(0, 1)),
+        "four-level": lambda: float(rng.randint(0, 3)),
+        "continuous": rng.random,
+    }
+    for trial in range(200):
+        n = rng.randint(20, 300)
+        docids = [f"g{i}" for i in range(n)]
+        graph = random_graph(rng, docids, k=rng.randint(1, 8))
+        neighbours = {docid: [docids[nb] for nb in graph.neighbours(doc)] for doc, docid in enumerate(docids)}
+        outside = [f"x{i}" for i in range(rng.randint(0, 20))]
+        pool = rng.sample(docids + outside, rng.randint(1, min(100, n + len(outside))))
+        r0 = Ranking.from_pairs("q", [(d, float(len(pool) - i)) for i, d in enumerate(pool)])
+        level = rng.choice(sorted(levels))
+        scores = {d: levels[level]() for d in docids + outside}
+        for batch_size in (1, 3, 16):
+            for budget in (1, 7, 50, 200):
+                counting = CountingScorer(MapScorer(scores))
+                out = gar_rerank(r0, counting, graph, ReRankConfig(batch_size, budget))
+                batches = []
+
+                def score(batch):
+                    batches.append(list(batch))
+                    return [scores[d] for d in batch]
+
+                want = reference_rerank(pool, score, neighbours, batch_size, budget)
+                case = f"trial {trial} ({level}, n={n}, b={batch_size}, c={budget})"
+                assert counting.batches == batches, case
+                assert [(e.docid, e.score, e.provenance, e.source) for e in out] == want, case
+
+
+def _state_instance():
+    """A shared graph, two queries with overlapping pools, and the output and
+    scorer batches of each query on its own copy of the graph."""
+    rng = random.Random(5)
+    docids = [f"g{i}" for i in range(300)]
+    graph = random_graph(rng, docids, k=8)
+    pools = {
+        qid: Ranking.from_pairs(qid, [(d, float(60 - i)) for i, d in enumerate(rng.sample(docids, 60))])
+        for qid in ("qa", "qb")
+    }
+    config = ReRankConfig(batch_size=4, budget=120)
+    fresh = {}
+    for qid, r0 in pools.items():
+        counting = CountingScorer(HashScorer())
+        own = CorpusGraph(graph.edges.copy(), DocMap(docids))
+        fresh[qid] = (gar_rerank(r0, counting, own, config).entries, counting.batches)
+    return graph, pools, config, fresh
+
+
+def test_rerank_carries_no_state_between_calls():
+    graph, pools, config, fresh = _state_instance()
+    for qid in ("qa", "qb", "qa"):
+        counting = CountingScorer(HashScorer())
+        assert (gar_rerank(pools[qid], counting, graph, config).entries, counting.batches) == fresh[qid], qid
+
+    class FailsOnThirdBatch(CountingScorer):
+        def score_batch(self, qid, query, docids):
+            if len(self.batches) == 2:
+                raise KeyError("backend unavailable")
+            return super().score_batch(qid, query, docids)
+
+    with pytest.raises(RuntimeError, match="scorer failed on query 'qb'"):
+        gar_rerank(pools["qb"], FailsOnThirdBatch(HashScorer()), graph, config)
+    counting = CountingScorer(HashScorer())
+    assert (gar_rerank(pools["qa"], counting, graph, config).entries, counting.batches) == fresh["qa"]
+
+
+def test_rerank_threads_share_one_graph():
+    graph, pools, config, fresh = _state_instance()
+    results = {name: [] for name in ("t0", "t1", "t2", "t3")}
+
+    def work(name):
+        for i in range(6):
+            qid = ("qa", "qb")[(i + int(name[1])) % 2]
+            counting = CountingScorer(HashScorer())
+            results[name].append((qid, gar_rerank(pools[qid], counting, graph, config).entries, counting.batches))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(name,)) for name in results]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for name, runs in results.items():
+        assert len(runs) == 6, name
+        for qid, entries, batches in runs:
+            assert (entries, batches) == fresh[qid], (name, qid)
 
 
 def test_rerank_run_handles_multiple_queries():
