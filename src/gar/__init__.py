@@ -15,6 +15,7 @@ from .bench import (
 )
 from .docmap import DocMap
 from .formats import (
+    TraceRow,
     read_corpus,
     read_qrels,
     read_queries,
@@ -61,16 +62,13 @@ from .ranking import PROV_FRONTIER, PROV_INITIAL, RankEntry, Ranking
 from .rerank import (
     BACKFILL_EPSILON,
     Bm25Scorer,
-    CachedScorer,
     OracleScorer,
     RecordingScorer,
     ReRankConfig,
     ScoreCache,
     Scorer,
-    TraceRow,
     gar_rerank,
     rerank_run,
-    trace_rows,
     typical_rerank,
 )
 from .sweep import SweepRow, sweep_parameter, write_sweep_table
@@ -82,7 +80,6 @@ __all__ = [
     "Bm25Params",
     "Bm25Scorer",
     "BudgetStats",
-    "CachedScorer",
     "CorpusGraph",
     "DEFAULT_K",
     "DenseVectors",
@@ -128,7 +125,6 @@ __all__ = [
     "rr_at",
     "sweep_parameter",
     "tokenize",
-    "trace_rows",
     "typical_rerank",
     "write_cluster_matrix",
     "write_corpus",

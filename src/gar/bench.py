@@ -18,15 +18,7 @@ import numpy as np
 
 from .graph import CorpusGraph
 from .ranking import Ranking
-from .rerank import (
-    CachedScorer,
-    RecordingScorer,
-    ReRankConfig,
-    ScoreCache,
-    Scorer,
-    gar_rerank,
-    typical_rerank,
-)
+from .rerank import RecordingScorer, ReRankConfig, ScoreCache, Scorer, gar_rerank, typical_rerank
 
 DEFAULT_BUDGETS = (100, 250, 500, 750, 1000)
 DEFAULT_REPEATS = 10
@@ -90,7 +82,7 @@ def t_quantile(p: float, df: int) -> float:
 
 
 def precompute_cache(
-    runs: Mapping[str, Sequence[tuple[str, float]]],
+    pools: Mapping[str, Ranking],
     base_scorer: Scorer,
     graph: CorpusGraph,
     batch_size: int = 16,
@@ -104,12 +96,11 @@ def precompute_cache(
     """
     recorder = RecordingScorer(base_scorer)
     config = ReRankConfig(batch_size=batch_size, budget=max_budget)
-    for qid in sorted(runs):
-        r0 = Ranking.from_pairs(qid, runs[qid])
+    for qid in sorted(pools):
         text = query_texts.get(qid, "") if query_texts else ""
-        typical_rerank(r0, recorder, config, text)
-        gar_rerank(r0, recorder, graph, config, text)
-    return recorder.to_cache()
+        typical_rerank(pools[qid], recorder, config, text)
+        gar_rerank(pools[qid], recorder, graph, config, text)
+    return ScoreCache(recorder.records)
 
 
 def _pin_to_one_cpu() -> set[int] | None:
@@ -143,7 +134,7 @@ def _timed_pass(
 
 
 def latency_bench(
-    runs: Mapping[str, Sequence[tuple[str, float]]],
+    pools: Mapping[str, Ranking],
     cache: ScoreCache,
     graph: CorpusGraph,
     budgets: Sequence[int] = DEFAULT_BUDGETS,
@@ -161,8 +152,7 @@ def latency_bench(
     budgets = sorted(set(budgets))
     if not budgets or budgets[0] < 1:
         raise ValueError("budgets must be positive")
-    scorer = CachedScorer(cache)
-    queries = [(qid, Ranking.from_pairs(qid, runs[qid])) for qid in sorted(runs)]
+    queries = [(qid, pools[qid]) for qid in sorted(pools)]
     if not queries:
         raise ValueError("no queries to benchmark")
 
@@ -172,8 +162,8 @@ def latency_bench(
     try:
         for budget in budgets:
             config = ReRankConfig(batch_size=batch_size, budget=budget)
-            run_typical = lambda r0: typical_rerank(r0, scorer, config)
-            run_gar = lambda r0: gar_rerank(r0, scorer, graph, config)
+            run_typical = lambda r0: typical_rerank(r0, cache, config)
+            run_gar = lambda r0: gar_rerank(r0, cache, graph, config)
             _timed_pass(queries, run_typical)
             _timed_pass(queries, run_gar)
             typical_totals = []

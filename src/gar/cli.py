@@ -20,15 +20,7 @@ from . import sweep as sweep_mod
 from .graph import DEFAULT_K, CorpusGraph, build_graph, graph_file_size
 from .lexical import Bm25Params, DenseVectors, InvertedIndex, bm25_doc_scores, bm25_doc_topk, bm25_retrieve, dense_topk, index_corpus
 from .ranking import Ranking
-from .rerank import (
-    Bm25Scorer,
-    CachedScorer,
-    OracleScorer,
-    ReRankConfig,
-    ScoreCache,
-    Scorer,
-    rerank_run,
-)
+from .rerank import Bm25Scorer, OracleScorer, ReRankConfig, ScoreCache, Scorer, rerank_run
 
 DEFAULT_METRICS = "ndcg,ndcg@10,map,recall@1000,rr@10,judged@10"
 
@@ -53,7 +45,7 @@ def _load_index(args: argparse.Namespace) -> InvertedIndex:
 def _make_scorer(args: argparse.Namespace) -> Scorer:
     spec = args.scorer
     if spec.startswith("cache:"):
-        return CachedScorer(ScoreCache.load(spec[len("cache:"):]))
+        return ScoreCache.load(spec[len("cache:"):])
     if spec.startswith("oracle:"):
         qrels = formats.read_qrels(spec[len("oracle:"):])
         if args.noise_sd > 0 and args.seed is None:
@@ -64,14 +56,19 @@ def _make_scorer(args: argparse.Namespace) -> Scorer:
     raise ValueError(f"unknown scorer {spec!r}; use cache:<path>, bm25, or oracle:<qrels>")
 
 
-def _query_texts(args: argparse.Namespace, runs: dict) -> dict[str, str]:
+def _read_pools(path: str) -> dict[str, Ranking]:
+    """The initial `Ranking` of every query in a run file."""
+    return {qid: Ranking.from_pairs(qid, pairs) for qid, pairs in formats.read_run(path).items()}
+
+
+def _query_texts(args: argparse.Namespace, pools: dict) -> dict[str, str]:
     if not args.queries:
         if args.scorer == "bm25":
             raise ValueError("scorer bm25 needs --queries for the query texts")
         return {}
     texts = formats.read_queries(args.queries)
     if args.scorer == "bm25":
-        for qid in runs:
+        for qid in pools:
             if qid not in texts:
                 raise ValueError(f"no query text for query {qid!r}")
     return texts
@@ -113,16 +110,15 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
 
 
 def cmd_rerank(args: argparse.Namespace) -> int:
-    runs = formats.read_run(args.run_in)
+    pools = _read_pools(args.run_in)
     scorer = _make_scorer(args)
-    texts = _query_texts(args, runs)
+    texts = _query_texts(args, pools)
     config = ReRankConfig(batch_size=args.batch_size, budget=args.budget)
     graph = None
     if args.mode == "gar":
         if not args.graph:
             raise ValueError("mode gar needs --graph")
         graph = CorpusGraph.load(args.graph)
-    pools = {qid: Ranking.from_pairs(qid, pairs) for qid, pairs in runs.items()}
     rankings = rerank_run(pools, scorer, config, graph, texts)
     formats.write_run(args.run_out, rankings, args.tag)
     if args.trace:
@@ -178,25 +174,22 @@ def cmd_cluster_test(args: argparse.Namespace) -> int:
             return vectors.similarity(docmap.internal(probe), docmap.internal(other))
 
     matrix = eval_mod.cluster_matrix(qrels, similarity)
-    print("rel\t" + "\t".join(f"nbr={y}" for y in range(eval_mod.N_LABELS)))
-    for x in range(eval_mod.N_LABELS):
-        cells = "\t".join(f"{100.0 * matrix[x, y]:.1f}" for y in range(eval_mod.N_LABELS))
-        print(f"{x}\t{cells}")
+    sys.stdout.write(formats.format_cluster_matrix(matrix))
     if args.out:
         formats.write_cluster_matrix(args.out, matrix)
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    runs = formats.read_run(args.run_in)
+    pools = _read_pools(args.run_in)
     qrels = formats.read_qrels(args.qrels)
     scorer = _make_scorer(args)
-    texts = _query_texts(args, runs)
+    texts = _query_texts(args, pools)
     graph = CorpusGraph.load(args.graph)
     config = ReRankConfig(batch_size=args.batch_size, budget=args.budget)
     metrics = [spec.strip() for spec in args.metrics.split(",") if spec.strip()]
     rows = sweep_mod.sweep_parameter(
-        args.vary, args.values, runs, scorer, graph, qrels, metrics, config, texts, args.gain
+        args.vary, args.values, pools, scorer, graph, qrels, metrics, config, texts, args.gain
     )
     print(args.vary + "\t" + "\t".join(metrics))
     for row in rows:
@@ -207,11 +200,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    runs = formats.read_run(args.run_in)
-    cache = bench_mod.ScoreCache.load(args.cache)
+    pools = _read_pools(args.run_in)
+    cache = ScoreCache.load(args.cache)
     graph = CorpusGraph.load(args.graph)
     report = bench_mod.latency_bench(
-        runs, cache, graph, args.budgets, args.batch_size, args.repeats
+        pools, cache, graph, args.budgets, args.batch_size, args.repeats
     )
     print("budget\ttypical_us\tgar_us\toverhead_us\tci95_lo\tci95_hi")
     for s in report.stats:

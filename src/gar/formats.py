@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO
@@ -16,7 +17,6 @@ import numpy as np
 
 from .evaluate import MetricValues, N_LABELS
 from .ranking import PROV_FRONTIER, PROV_INITIAL, Ranking
-from .rerank import TraceRow
 
 _NA = "NA"
 
@@ -229,8 +229,22 @@ def _write_rows(fh: TextIO, sep: str, columns: Sequence[Iterable[str]]) -> None:
 _TRACE_HEADER = "qid\tdocid\tinitial_rank\tfinal_rank\tprovenance\tsource_docid"
 
 
+@dataclass(frozen=True)
+class TraceRow:
+    """Audit record for one output doc: where it came from and where it landed."""
+
+    qid: str
+    docid: str
+    initial_rank: int | None
+    final_rank: int
+    provenance: str
+    source: str | None
+
+
 def write_trace(path: str | Path, pools: Mapping[str, Ranking], rankings: Mapping[str, Ranking]) -> None:
-    """The `trace_rows` of every re-ranked list against its initial pool, in qid order."""
+    """One row per doc of every re-ranked list, in qid then final-rank order:
+    its 1-based rank in the query's initial pool (NA if it was not there), its
+    final rank, provenance and source (NA for an initial doc)."""
     ranks = _rank_strings(map(len, chain(pools.values(), rankings.values())))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_TRACE_HEADER + "\n")
@@ -284,11 +298,15 @@ def write_metric_report(path: str | Path, results: Mapping[str, MetricValues]) -
             fh.write(f"{metric}\tall\t{values.mean:.6f}\n")
 
 
+def format_cluster_matrix(matrix: np.ndarray) -> str:
+    """The text of `write_cluster_matrix`, which `gar cluster-test` also prints."""
+    lines = ["rel\t" + "\t".join(f"nbr={y}" for y in range(N_LABELS))]
+    for x in range(N_LABELS):
+        lines.append(f"{x}\t" + "\t".join(f"{100.0 * matrix[x, y]:.1f}" for y in range(N_LABELS)))
+    return "\n".join(lines) + "\n"
+
+
 def write_cluster_matrix(path: str | Path, matrix: np.ndarray) -> None:
     """Nearest-judged-neighbour matrix as percentages, one row per probe label."""
     with open(path, "w", encoding="utf-8") as fh:
-        header = "rel\t" + "\t".join(f"nbr={y}" for y in range(N_LABELS))
-        fh.write(header + "\n")
-        for x in range(N_LABELS):
-            cells = "\t".join(f"{100.0 * matrix[x, y]:.1f}" for y in range(N_LABELS))
-            fh.write(f"{x}\t{cells}\n")
+        fh.write(format_cluster_matrix(matrix))

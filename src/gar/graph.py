@@ -45,7 +45,7 @@ class CorpusGraph:
     doc d in descending similarity order, sentinel-padded at the end.
     """
 
-    __slots__ = ("_edges", "_docmap", "_degrees", "_n_edges")
+    __slots__ = ("_edges", "_docmap", "_n_edges")
 
     def __init__(self, edges: np.ndarray, docmap: DocMap):
         self._set(np.asarray(edges), docmap, copy=True)
@@ -66,20 +66,19 @@ class CorpusGraph:
         # checked in the given dtype before any uint32 copy exists, so no id
         # wraps around and the block temporaries add nothing to the peak of
         # a large table
-        self._degrees = self._validate_rows(edges)
+        self._n_edges = self._validate_rows(edges)
         edges = edges.astype(np.uint32, order="C", copy=copy)
         edges.setflags(write=False)
         self._edges = edges
         self._docmap = docmap
-        self._n_edges = int(self._degrees.sum())
 
     @staticmethod
-    def _validate_rows(edges: np.ndarray) -> np.ndarray:
-        """Degree of every row, after checking the rows, in any integer
-        dtype, in blocks that bound the temporaries at any corpus size; a
-        block reports the first of its failing checks, in the order listed."""
+    def _validate_rows(edges: np.ndarray) -> int:
+        """Number of edges, after checking the rows, in any integer dtype, in
+        blocks that bound the temporaries at any corpus size; a block reports
+        the first of its failing checks, in the order listed."""
         n_docs = edges.shape[0]
-        degrees = np.empty(n_docs, dtype=np.int64)
+        n_edges = 0
         for start in range(0, n_docs, _VALIDATE_BLOCK_ROWS):
             block = edges[start : start + _VALIDATE_BLOCK_ROWS]
             real = block != SENTINEL
@@ -94,8 +93,8 @@ class CorpusGraph:
             ):
                 if bad.any():
                     raise ValueError(f"row {start + int(np.argwhere(bad)[0][0])} {message}")
-            degrees[start : start + len(block)] = real.sum(axis=1)
-        return degrees
+            n_edges += int(real.sum())
+        return n_edges
 
     @property
     def n_docs(self) -> int:
@@ -118,13 +117,14 @@ class CorpusGraph:
         return self._edges
 
     def degree(self, doc: int) -> int:
-        return int(self._degrees[doc])
+        return len(self.neighbours(doc))
 
     def neighbours(self, doc: int) -> list[int]:
         """Neighbour internal ids of `doc`, most similar first."""
         if not 0 <= doc < self.n_docs:
             raise IndexError(f"internal id out of range: {doc}")
-        return self._edges[doc, : self._degrees[doc]].tolist()
+        row = self._edges[doc].tolist()
+        return row[: row.index(SENTINEL)] if SENTINEL in row else row
 
     def truncated(self, k: int) -> "CorpusGraph":
         """Graph restricted to each doc's top-k neighbours.

@@ -36,60 +36,38 @@ class Ranking:
 
     __slots__ = ("qid", "_docids", "_scores", "_provenances", "_sources")
 
-    def __init__(self, qid: str, entries: Iterable[RankEntry]):
-        entries = tuple(entries)
-        docids = tuple(entry.docid for entry in entries)
-        _check_unique(qid, docids)
-        self._assign(
-            qid,
-            docids,
-            _score_array([entry.score for entry in entries]),
-            tuple(entry.provenance for entry in entries),
-            tuple(entry.source for entry in entries),
-        )
-
-    @classmethod
-    def from_pairs(cls, qid: str, pairs: Iterable[tuple[str, float]]) -> "Ranking":
-        docids, scores = tuple(zip(*pairs)) or ((), ())
-        _check_unique(qid, docids)
-        return cls._from_columns(qid, docids, _score_array(scores))
-
-    @classmethod
-    def _from_columns(
-        cls,
-        qid: str,
-        docids: tuple[str, ...],
-        scores: np.ndarray,
-        provenances: tuple[str, ...] | None = None,
-        sources: tuple[str | None, ...] | None = None,
-    ) -> "Ranking":
-        """Ranking over columns whose docids are unique by construction, so
-        the duplicate check is skipped; provenance defaults to initial."""
-        ranking = cls.__new__(cls)
-        n = len(docids)
-        ranking._assign(
-            qid,
-            docids,
-            scores,
-            (PROV_INITIAL,) * n if provenances is None else provenances,
-            (None,) * n if sources is None else sources,
-        )
-        return ranking
-
-    def _assign(
+    def __init__(
         self,
         qid: str,
-        docids: tuple[str, ...],
-        scores: np.ndarray,
-        provenances: tuple[str, ...],
-        sources: tuple[str | None, ...],
-    ) -> None:
+        docids: Iterable[str],
+        scores: Sequence[float] | np.ndarray,
+        provenances: Iterable[str] | None = None,
+        sources: Iterable[str | None] | None = None,
+    ):
+        """Columns of equal length, in rank order; the scores are copied, and
+        provenance defaults to initial with no source."""
+        docids = tuple(docids)
+        n = len(docids)
+        scores = np.array(scores, dtype=np.float64)
+        provenances = (PROV_INITIAL,) * n if provenances is None else tuple(provenances)
+        sources = (None,) * n if sources is None else tuple(sources)
+        if scores.shape != (n,) or len(provenances) != n or len(sources) != n:
+            raise ValueError(
+                f"ranking columns for query {qid!r} differ in length: {n} docids, "
+                f"scores of shape {scores.shape}, {len(provenances)} provenances, {len(sources)} sources"
+            )
+        _check_unique(qid, docids)
         scores.setflags(write=False)
         self.qid = qid
         self._docids = docids
         self._scores = scores
         self._provenances = provenances
         self._sources = sources
+
+    @classmethod
+    def from_pairs(cls, qid: str, pairs: Iterable[tuple[str, float]]) -> "Ranking":
+        docids, scores = tuple(zip(*pairs)) or ((), ())
+        return cls(qid, docids, scores)
 
     @property
     def entries(self) -> Sequence[RankEntry]:
@@ -124,10 +102,6 @@ class Ranking:
 
     def __repr__(self) -> str:
         return f"Ranking(qid={self.qid!r}, {len(self._docids)} entries)"
-
-
-def _score_array(scores: Sequence[float]) -> np.ndarray:
-    return np.fromiter(map(float, scores), np.float64, len(scores))
 
 
 def _check_unique(qid: str, docids: tuple[str, ...]) -> None:

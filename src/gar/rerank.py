@@ -62,7 +62,8 @@ class ReRankConfig:
 
 
 class ScoreCache:
-    """(qid, docid) -> score table, persisted as a qid<TAB>docid<TAB>score file."""
+    """(qid, docid) -> score table, persisted as a qid<TAB>docid<TAB>score
+    file; as a `Scorer` it serves the table, and a missing pair raises `KeyError`."""
 
     __slots__ = ("_scores",)
 
@@ -80,6 +81,9 @@ class ScoreCache:
             return self._scores[(qid, docid)]
         except KeyError:
             raise KeyError(f"no cached score for query {qid!r} doc {docid!r}") from None
+
+    def score_batch(self, qid: str, query: str, docids: Sequence[str]) -> list[float]:
+        return [self.lookup(qid, docid) for docid in docids]
 
     def save(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -113,18 +117,6 @@ class ScoreCache:
                     )
                 scores[key] = score
         return cls(scores)
-
-
-class CachedScorer:
-    """Serves precomputed scores; a missing pair raises `KeyError`."""
-
-    __slots__ = ("_cache",)
-
-    def __init__(self, cache: ScoreCache):
-        self._cache = cache
-
-    def score_batch(self, qid: str, query: str, docids: Sequence[str]) -> list[float]:
-        return [self._cache.lookup(qid, docid) for docid in docids]
 
 
 class OracleScorer:
@@ -202,9 +194,6 @@ class RecordingScorer:
         for docid, score in zip(docids, scores):
             self.records[(qid, docid)] = score
         return scores
-
-    def to_cache(self) -> ScoreCache:
-        return ScoreCache(self.records)
 
 
 # --- re-ranking -----------------------------------------------------------
@@ -353,7 +342,7 @@ def _rerank(
     sources = tuple(ids[via[doc]] if doc in via else None for _, _, doc in block)
     remainder = tuple(itertools.filterfalse(set(block_ids).__contains__, order[cursor:]))
     n = len(remainder)
-    return Ranking._from_columns(
+    return Ranking(
         qid,
         block_ids + remainder,
         np.concatenate((scores, backfill(min(scores), n))),
@@ -403,29 +392,3 @@ def rerank_run(
         text = query_texts.get(qid, "") if query_texts else ""
         out[qid] = _rerank(pools[qid], scorer, config, graph, text)
     return out
-
-
-# --- provenance trace -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TraceRow:
-    """Audit record for one output doc: where it came from and where it landed."""
-
-    qid: str
-    docid: str
-    initial_rank: int | None
-    final_rank: int
-    provenance: str
-    source: str | None
-
-
-def trace_rows(r0: Ranking, result: Ranking) -> list[TraceRow]:
-    """Provenance rows for a re-ranked list against its initial pool."""
-    initial = {docid: rank for rank, docid in enumerate(r0.docids(), 1)}
-    return [
-        TraceRow(result.qid, docid, initial.get(docid), rank, provenance, source)
-        for rank, (docid, provenance, source) in enumerate(
-            zip(result.docids(), result.provenances(), result.sources()), 1
-        )
-    ]

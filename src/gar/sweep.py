@@ -26,7 +26,7 @@ class SweepRow:
 def sweep_parameter(
     vary: str,
     values: Sequence[int],
-    runs: Mapping[str, Sequence[tuple[str, float]]],
+    pools: Mapping[str, Ranking],
     scorer: Scorer,
     graph: CorpusGraph,
     qrels: Qrels,
@@ -35,7 +35,7 @@ def sweep_parameter(
     query_texts: Mapping[str, str] | None = None,
     gain: str = "exp",
 ) -> list[SweepRow]:
-    """Re-rank the whole run once per value and tabulate metric means.
+    """Re-rank every query's initial pool once per value and tabulate metric means.
 
     Sweeping k truncates each doc's neighbour list to its top-k entries,
     which is exactly the graph that a smaller-degree build would produce.
@@ -45,7 +45,6 @@ def sweep_parameter(
     if not values:
         raise ValueError("no sweep values given")
     fns = {spec: metric_fn(spec, gain) for spec in metrics}
-    pools = {qid: Ranking.from_pairs(qid, pairs) for qid, pairs in runs.items()}
     rows: list[SweepRow] = []
     for value in values:
         if vary == VARY_K:

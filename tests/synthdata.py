@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from gar import SENTINEL, CorpusGraph, DocMap, docmap_path
+from gar import SENTINEL, CorpusGraph, DocMap, Ranking, docmap_path
 
 
 # --- scorer stubs -----------------------------------------------------------
@@ -188,7 +188,7 @@ def bench_instance(
     n_queries: int = 8,
     pool_size: int = 1000,
     k: int = 8,
-) -> tuple[CorpusGraph, dict[str, list[tuple[str, float]]]]:
+) -> tuple[CorpusGraph, dict[str, Ranking]]:
     """Large random graph plus full-size first-pass pools for timing runs."""
     rng = random.Random(seed)
     docids = [f"p{i:05d}" for i in range(n_docs)]
@@ -198,10 +198,9 @@ def bench_instance(
         row = [j for j in rng.sample(population, k + 1) if j != i][:k]
         edges[i, : len(row)] = row
     graph = CorpusGraph(edges, DocMap(docids))
-    runs = {}
+    pools = {}
     for qn in range(n_queries):
+        qid = f"bq{qn:02d}"
         pool = rng.sample(population, pool_size)
-        runs[f"bq{qn:02d}"] = [
-            (docids[doc], float(pool_size - pos)) for pos, doc in enumerate(pool)
-        ]
-    return graph, runs
+        pools[qid] = Ranking.from_pairs(qid, [(docids[doc], float(pool_size - pos)) for pos, doc in enumerate(pool)])
+    return graph, pools

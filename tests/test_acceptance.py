@@ -38,10 +38,11 @@ from gar import (
     recall_at,
     rerank_run,
     rr_at,
+    read_trace,
     sweep_parameter,
-    trace_rows,
     typical_rerank,
     write_sweep_table,
+    write_trace,
 )
 from oracles import (
     bm25_all_scores,
@@ -111,7 +112,7 @@ def test_criterion_01_edgeless_graph_equals_typical(capsys):
 # --- 2: toy-instance trace fidelity --------------------------------------------
 
 
-def test_criterion_02_toy_instance_trace(capsys):
+def test_criterion_02_toy_instance_trace(capsys, tmp_path):
     started = time.perf_counter()
     docids = [f"d{i}" for i in range(8)]
     edges = np.full((8, 2), SENTINEL, dtype=np.uint32)
@@ -139,7 +140,8 @@ def test_criterion_02_toy_instance_trace(capsys):
         problems.append("unreached docs appear in output")
     if counting.batches != [["d0", "d1"], ["d4", "d5"], ["d2", "d3"]]:
         problems.append(f"batches {counting.batches}")
-    ranks = [(r.docid, r.initial_rank) for r in trace_rows(r0, out)]
+    write_trace(tmp_path / "trace.tsv", {"q": r0}, {"q": out})
+    ranks = [(r.docid, r.initial_rank) for r in read_trace(tmp_path / "trace.tsv")]
     if ranks != [("d4", None), ("d0", 1), ("d2", 3), ("d5", None), ("d3", 4), ("d1", 2)]:
         problems.append(f"trace {ranks}")
     _verdict(
@@ -443,10 +445,10 @@ def test_criterion_08_cluster_matrix_stochastic_and_invariant(capsys):
 
 def test_criterion_09_latency_overhead(capsys):
     started = time.perf_counter()
-    graph, runs = bench_instance(seed=7)
-    cache = precompute_cache(runs, HashScorer(), graph, batch_size=16, max_budget=1000)
+    graph, pools = bench_instance(seed=7)
+    cache = precompute_cache(pools, HashScorer(), graph, batch_size=16, max_budget=1000)
     budgets = (100, 250, 500, 750, 1000)
-    report = latency_bench(runs, cache, graph, budgets=budgets, batch_size=16, repeats=10)
+    report = latency_bench(pools, cache, graph, budgets=budgets, batch_size=16, repeats=10)
 
     c = np.array([s.budget for s in report.stats], dtype=np.float64)
     o = np.array([s.overhead_mean_us for s in report.stats])
@@ -458,7 +460,7 @@ def test_criterion_09_latency_overhead(capsys):
         eg = CorpusGraph(
             np.full((graph.n_docs, graph.k), SENTINEL, dtype=np.uint32), graph.docmap
         )
-        rep = latency_bench(runs, cache, eg, budgets=(1000,), batch_size=16, repeats=10)
+        rep = latency_bench(pools, cache, eg, budgets=(1000,), batch_size=16, repeats=10)
         return rep.stats[0].ci95_lo_us, rep.stats[0].ci95_hi_us
 
     lo, hi = edgeless_ci()
@@ -487,10 +489,7 @@ def test_criterion_10_sweep_protocol(capsys, tmp_path):
     inst = planted_instance(3)
     index = index_corpus(inst.corpus)
     params = Bm25Params()
-    runs = {
-        qid: bm25_retrieve(index, params, qid, text, 1000).pairs()
-        for qid, text in inst.queries.items()
-    }
+    pools = {qid: bm25_retrieve(index, params, qid, text, 1000) for qid, text in inst.queries.items()}
     graph16 = build_graph(
         index.docmap, lambda d, c: bm25_doc_topk(index, params, d, c), 16
     )
@@ -499,11 +498,11 @@ def test_criterion_10_sweep_protocol(capsys, tmp_path):
 
     k_values = list(range(1, 17))
     k_rows = sweep_parameter(
-        "k", k_values, runs, scorer, graph16, inst.qrels, ["recall@100"], config
+        "k", k_values, pools, scorer, graph16, inst.qrels, ["recall@100"], config
     )
     b_values = [2**i for i in range(10)]
     b_rows = sweep_parameter(
-        "b", b_values, runs, scorer, graph16.truncated(8), inst.qrels,
+        "b", b_values, pools, scorer, graph16.truncated(8), inst.qrels,
         ["recall@100"], config,
     )
 

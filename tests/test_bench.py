@@ -5,15 +5,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gar
 
 from gar import (
-    CachedScorer,
+    Bm25Params,
+    Bm25Scorer,
     ReRankConfig,
     Ranking,
+    bm25_doc_topk,
+    bm25_retrieve,
+    build_graph,
     gar_rerank,
+    index_corpus,
     latency_bench,
     precompute_cache,
     typical_rerank,
@@ -29,32 +35,49 @@ def small_instance():
     rng = random.Random(13)
     docids = [f"d{i:02d}" for i in range(12)]
     graph = random_graph(rng, docids, k=3)
-    runs = {
-        f"q{i}": [(d, float(12 - pos)) for pos, d in enumerate(rng.sample(docids, 6))]
+    pools = {
+        f"q{i}": Ranking.from_pairs(f"q{i}", [(d, float(12 - pos)) for pos, d in enumerate(rng.sample(docids, 6))])
         for i in range(3)
     }
-    return graph, runs
+    return graph, pools
 
 
 def test_precompute_cache_covers_both_modes_at_any_smaller_budget():
-    graph, runs = small_instance()
-    cache = precompute_cache(runs, HashScorer(), graph, batch_size=2, max_budget=8)
-    scorer = CachedScorer(cache)  # raises on any miss
-    for qid, pairs in runs.items():
-        r0 = Ranking.from_pairs(qid, pairs)
+    graph, pools = small_instance()
+    cache = precompute_cache(pools, HashScorer(), graph, batch_size=2, max_budget=8)
+    for r0 in pools.values():
         for budget in (1, 2, 3, 5, 8):
             config = ReRankConfig(batch_size=2, budget=budget)
-            typical_rerank(r0, scorer, config)
-            gar_rerank(r0, scorer, graph, config)
+            # the cache as the scorer raises on any miss
+            typical_rerank(r0, cache, config)
+            gar_rerank(r0, cache, graph, config)
 
 
 def test_precompute_cache_scores_agree_with_base_scorer():
-    graph, runs = small_instance()
+    graph, pools = small_instance()
     base = HashScorer()
-    cache = precompute_cache(runs, base, graph, batch_size=2, max_budget=8)
-    for qid, pairs in runs.items():
-        for docid, _ in pairs:
+    cache = precompute_cache(pools, base, graph, batch_size=2, max_budget=8)
+    for qid, r0 in pools.items():
+        for docid in r0.docids():
             assert cache.lookup(qid, docid) == base.score_batch(qid, "", [docid])[0]
+
+
+def test_bench_takes_bm25_retrieve_output():
+    corpus = [(f"d{i}", " ".join(f"w{(i * j) % 7}" for j in range(1, 5))) for i in range(12)]
+    queries = {"q1": "w1 w2", "q2": "w3 w5 w6"}
+    index = index_corpus(corpus)
+    params = Bm25Params()
+    graph = build_graph(index.docmap, lambda d, c: bm25_doc_topk(index, params, d, c), 3)
+    pools = {qid: bm25_retrieve(index, params, qid, text, 8) for qid, text in queries.items()}
+    scorer = Bm25Scorer(index, params)
+    # typical re-ranking at a budget of the pool size scores every pool doc
+    cache = precompute_cache(pools, scorer, graph, batch_size=2, max_budget=8, query_texts=queries)
+    for qid, r0 in pools.items():
+        for docid in r0.docids():
+            assert cache.lookup(qid, docid) == scorer.score_batch(qid, queries[qid], [docid])[0]
+    report = latency_bench(pools, cache, graph, budgets=(3, 8), batch_size=2, repeats=2)
+    assert [s.budget for s in report.stats] == [3, 8]
+    assert {qid for *_, qid, _ in report.rows} == set(queries)
 
 
 @pytest.mark.parametrize(
@@ -79,51 +102,51 @@ def test_import_loads_no_scipy():
 
 
 def test_latency_bench_report_shape():
-    graph, runs = small_instance()
-    cache = precompute_cache(runs, HashScorer(), graph, batch_size=2, max_budget=8)
+    graph, pools = small_instance()
+    cache = precompute_cache(pools, HashScorer(), graph, batch_size=2, max_budget=8)
     report = latency_bench(
-        runs, cache, graph, budgets=(8, 4, 8), batch_size=2, repeats=3
+        pools, cache, graph, budgets=(8, 4, 8), batch_size=2, repeats=3
     )
     # budgets dedup and sort
     assert [s.budget for s in report.stats] == [4, 8]
-    assert len(report.rows) == 2 * 2 * 3 * len(runs)
+    assert len(report.rows) == 2 * 2 * 3 * len(pools)
     for s in report.stats:
         assert s.ci95_lo_us <= s.overhead_mean_us <= s.ci95_hi_us
         assert s.overhead_mean_us == pytest.approx(
             s.gar_mean_us - s.typical_mean_us, abs=1e-6
         )
-    first_block = report.rows[: len(runs)]
+    first_block = report.rows[: len(pools)]
     assert all(mode == "typical" and run_idx == 0 for _, mode, run_idx, _, _ in first_block)
-    assert [qid for _, _, _, qid, _ in first_block] == sorted(runs)
+    assert [qid for _, _, _, qid, _ in first_block] == sorted(pools)
     modes = {mode for _, mode, _, _, _ in report.rows}
     assert modes == {"typical", "gar"}
     assert all(micros >= 0.0 for *_, micros in report.rows)
 
 
 def test_latency_bench_validation():
-    graph, runs = small_instance()
-    cache = precompute_cache(runs, HashScorer(), graph, batch_size=2, max_budget=8)
+    graph, pools = small_instance()
+    cache = precompute_cache(pools, HashScorer(), graph, batch_size=2, max_budget=8)
     with pytest.raises(ValueError, match="repeats"):
-        latency_bench(runs, cache, graph, budgets=(4,), repeats=1)
+        latency_bench(pools, cache, graph, budgets=(4,), repeats=1)
     with pytest.raises(ValueError, match="budgets"):
-        latency_bench(runs, cache, graph, budgets=(), repeats=2)
+        latency_bench(pools, cache, graph, budgets=(), repeats=2)
     with pytest.raises(ValueError, match="budgets"):
-        latency_bench(runs, cache, graph, budgets=(0, 4), repeats=2)
+        latency_bench(pools, cache, graph, budgets=(0, 4), repeats=2)
     with pytest.raises(ValueError, match="no queries"):
         latency_bench({}, cache, graph, budgets=(4,), repeats=2)
 
 
 def test_latency_bench_missing_cache_entry_aborts():
-    graph, runs = small_instance()
-    shallow = precompute_cache(runs, HashScorer(), graph, batch_size=2, max_budget=2)
+    graph, pools = small_instance()
+    shallow = precompute_cache(pools, HashScorer(), graph, batch_size=2, max_budget=2)
     with pytest.raises(RuntimeError, match="scorer failed"):
-        latency_bench(runs, shallow, graph, budgets=(8,), batch_size=2, repeats=2)
+        latency_bench(pools, shallow, graph, budgets=(8,), batch_size=2, repeats=2)
 
 
 def test_write_latency_report(tmp_path):
-    graph, runs = small_instance()
-    cache = precompute_cache(runs, HashScorer(), graph, batch_size=2, max_budget=8)
-    report = latency_bench(runs, cache, graph, budgets=(4, 8), batch_size=2, repeats=2)
+    graph, pools = small_instance()
+    cache = precompute_cache(pools, HashScorer(), graph, batch_size=2, max_budget=8)
+    report = latency_bench(pools, cache, graph, budgets=(4, 8), batch_size=2, repeats=2)
     path = tmp_path / "latency.tsv"
     write_latency_report(path, report)
     lines = path.read_text().splitlines()
@@ -136,14 +159,11 @@ def test_write_latency_report(tmp_path):
 
 
 def test_bench_instance_scales():
-    graph, runs = bench_instance(seed=1, n_docs=500, n_queries=2, pool_size=100, k=4)
+    graph, pools = bench_instance(seed=1, n_docs=500, n_queries=2, pool_size=100, k=4)
     assert graph.n_docs == 500
     assert graph.k == 4
-    assert len(runs) == 2
-    assert all(len(pairs) == 100 for pairs in runs.values())
-    # pools hold distinct docs with strictly decreasing scores
-    for pairs in runs.values():
-        docids = [d for d, _ in pairs]
-        assert len(set(docids)) == len(docids)
-        scores = [s for _, s in pairs]
-        assert scores == sorted(scores, reverse=True)
+    assert len(pools) == 2
+    assert all(len(r0) == 100 for r0 in pools.values())
+    # pools hold distinct docs (the Ranking checks) with strictly decreasing scores
+    for r0 in pools.values():
+        assert (np.diff(r0.scores()) < 0).all()

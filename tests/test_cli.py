@@ -7,6 +7,7 @@ from gar import (
     DenseVectors,
     DocMap,
     CorpusGraph,
+    Ranking,
     cluster_matrix,
     graph_file_size,
     precompute_cache,
@@ -143,8 +144,9 @@ def test_full_pipeline(workdir, capsys):
     graph_obj = CorpusGraph.load(graph)
     from gar import OracleScorer
 
+    pools = {qid: Ranking.from_pairs(qid, pairs) for qid, pairs in read_run(run0).items()}
     cache = precompute_cache(
-        read_run(run0), OracleScorer({}, 0.5, seed=3), graph_obj,
+        pools, OracleScorer({}, 0.5, seed=3), graph_obj,
         batch_size=2, max_budget=8,
     )
     cache.save(cache_path)
@@ -248,6 +250,14 @@ def test_cluster_test_matrices_match_reference(tmp_path, capsys):
         write_cluster_matrix(ref, matrix)
         assert out.read_bytes() == ref.read_bytes(), method
     capsys.readouterr()
+
+
+def test_cluster_test_prints_the_out_file(tmp_path, capsys):
+    corpus, vectors, _, qrels_path = cluster_fixture(tmp_path)
+    for method, source in [("dense", ["--vectors", vectors]), ("bm25", ["--corpus", corpus])]:
+        out = tmp_path / f"{method}.tsv"
+        assert run_cli("cluster-test", "--qrels", qrels_path, "--method", method, *source, "--out", out) == 0
+        assert capsys.readouterr().out.encode("utf-8") == out.read_bytes(), method
 
 
 def test_rerank_typical_mode_needs_no_graph(workdir, capsys):

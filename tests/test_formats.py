@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from gar import (
     MetricValues,
-    RankEntry,
     Ranking,
     TraceRow,
     read_corpus,
@@ -321,7 +320,8 @@ def test_write_trace_matches_line_reference(tmp_path_factory, data):
             for docid in order
         ]
         pools[qid] = Ranking.from_pairs(qid, [(docid, 0.0) for docid in pool])
-        rankings[qid] = Ranking(qid, [RankEntry(docid, 1.0, provenance, source) for docid, provenance, source in rows])
+        docids, provenances, sources = zip(*rows)
+        rankings[qid] = Ranking(qid, docids, [1.0] * len(rows), provenances, sources)
         outputs[qid] = rows
     path = tmp_path_factory.getbasetemp() / "write_trace.tsv"
     write_trace(path, pools, rankings)
@@ -337,7 +337,7 @@ def test_trace_round_trip(tmp_path):
     for source in ("d0", "NA"):
         pools = {"q1": Ranking.from_pairs("q1", [(source, 2.0), ("d1", 1.0)])}
         rankings = {
-            "q1": Ranking("q1", [RankEntry("d4", 3.0, "frontier", source), RankEntry(source, 2.0), RankEntry("d1", 1.0)])
+            "q1": Ranking("q1", ["d4", source, "d1"], [3.0, 2.0, 1.0], ["frontier", "initial", "initial"], [source, None, None])
         }
         path = tmp_path / "trace.tsv"
         write_trace(path, pools, rankings)

@@ -42,6 +42,16 @@ def test_neighbours_out_of_range():
         g.neighbours(1)
 
 
+def test_degree_out_of_range():
+    # -1 must not wrap around to the last doc's row
+    g = make_graph([[1], [SENTINEL]])
+    for doc in (-1, 2):
+        with pytest.raises(IndexError, match="internal id out of range"):
+            g.degree(doc)
+        with pytest.raises(IndexError, match="internal id out of range"):
+            g.neighbours(doc)
+
+
 def test_validation_neighbour_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
         make_graph([[5], [SENTINEL]])
@@ -175,6 +185,7 @@ def test_zero_degree_graph():
     assert g.k == 0
     assert g.n_edges == 0
     assert g.neighbours(1) == []
+    assert g.degree(1) == 0
 
 
 def test_truncated_takes_row_prefixes():

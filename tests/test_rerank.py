@@ -20,9 +20,10 @@ from gar import (
     ReRankConfig,
     SENTINEL,
     gar_rerank,
+    read_trace,
     rerank_run,
-    trace_rows,
     typical_rerank,
+    write_trace,
 )
 from gar.rerank import backfill
 from oracles import closure, reference_backfill, reference_rerank
@@ -59,6 +60,8 @@ def test_ranking_basics():
 def test_ranking_rejects_duplicates():
     with pytest.raises(ValueError, match="duplicate docid"):
         Ranking.from_pairs("q", [("a", 2.0), ("a", 1.0)])
+    with pytest.raises(ValueError, match="duplicate docid in ranking for query 'q': 'a'"):
+        Ranking("q", ["a", "b", "a"], np.arange(3.0))
 
 
 def test_ranking_docids_differing_by_trailing_nul_are_distinct():
@@ -81,7 +84,7 @@ def test_rerank_orders_ties_by_str_with_trailing_nul():
 
 def test_ranking_builds_entries_from_columns():
     entries = [RankEntry("a", 2.0, PROV_FRONTIER, "z"), RankEntry("b", 1)]
-    r = Ranking("q", entries)
+    r = Ranking("q", ["a", "b"], [2.0, 1], [PROV_FRONTIER, PROV_INITIAL], ["z", None])
     assert list(r) == entries
     assert r[-1] == RankEntry("b", 1.0)
     assert r[:1] == (entries[0],)
@@ -90,6 +93,29 @@ def test_ranking_builds_entries_from_columns():
     assert r.scores().tolist() == [2.0, 1.0]
     with pytest.raises(ValueError):
         r.scores()[0] = 5.0
+
+
+def test_ranking_rejects_columns_of_unequal_length():
+    for columns in [
+        (["a", "b"], [1.0]),
+        (["a"], [1.0, 0.5]),
+        (["a"], [[1.0]]),
+        (["a", "b"], [2.0, 1.0], [PROV_INITIAL]),
+        (["a", "b"], [2.0, 1.0], None, [None, None, None]),
+    ]:
+        with pytest.raises(ValueError, match="ranking columns for query 'q9' differ in length"):
+            Ranking("q9", *columns)
+
+
+def test_ranking_copies_the_caller_scores():
+    scores = np.array([2.0, 1.0])
+    r = Ranking("q", ["a", "b"], scores)
+    scores[0] = 7.0
+    assert scores.flags.writeable
+    assert r.scores().tolist() == [2.0, 1.0]
+    assert not r.scores().flags.writeable
+    assert r.scores().dtype == np.float64
+    assert Ranking("q", ["a"], np.array([3], dtype=np.int32)).scores().dtype == np.float64
 
 
 def test_rank_entry_defaults():
@@ -199,7 +225,7 @@ def test_typical_batch_sizes():
 
 def test_empty_r0_rejected():
     with pytest.raises(ValueError, match="empty initial ranking"):
-        typical_rerank(Ranking("q", []), HashScorer())
+        typical_rerank(Ranking("q", [], []), HashScorer())
 
 
 def test_scorer_exception_is_wrapped():
@@ -277,12 +303,13 @@ def test_gar_toy_output():
     assert "d7" not in by_doc
 
 
-def test_gar_toy_trace():
+def test_gar_toy_trace(tmp_path):
     r0 = toy_r0()
     out = gar_rerank(
         r0, MapScorer(TOY_SCORES), toy_graph(), ReRankConfig(batch_size=2, budget=6)
     )
-    rows = trace_rows(r0, out)
+    write_trace(tmp_path / "trace.tsv", {"q": r0}, {"q": out})
+    rows = read_trace(tmp_path / "trace.tsv")
     assert [(r.docid, r.initial_rank, r.final_rank) for r in rows] == [
         ("d4", None, 1),
         ("d0", 1, 2),
@@ -330,7 +357,7 @@ def test_gar_scored_docs_never_reenter():
     assert len(out) == 2
 
 
-def test_gar_frontier_doc_also_in_pool():
+def test_gar_frontier_doc_also_in_pool(tmp_path):
     # c sits deep in the pool but is discovered through the graph first:
     # it keeps frontier provenance and is skipped when the cursor reaches it
     docids = ["a", "b", "c"]
@@ -339,8 +366,8 @@ def test_gar_frontier_doc_also_in_pool():
     counting = CountingScorer(MapScorer({"a": 0.6, "b": 0.4, "c": 0.9}))
     out = gar_rerank(r0, counting, graph, ReRankConfig(batch_size=1, budget=4))
     assert counting.batches == [["a"], ["c"], ["b"]]
-    rows = trace_rows(r0, out)
-    by_doc = {r.docid: r for r in rows}
+    write_trace(tmp_path / "trace.tsv", {"q": r0}, {"q": out})
+    by_doc = {r.docid: r for r in read_trace(tmp_path / "trace.tsv")}
     assert by_doc["c"].provenance == PROV_FRONTIER
     assert by_doc["c"].source == "a"
     assert by_doc["c"].initial_rank == 3

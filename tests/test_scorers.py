@@ -15,7 +15,6 @@ import gar
 from gar import (
     Bm25Params,
     Bm25Scorer,
-    CachedScorer,
     OracleScorer,
     RecordingScorer,
     ScoreCache,
@@ -100,14 +99,13 @@ def test_cache_load_rejects_non_finite_score(tmp_path, raw):
 
 def test_cached_scorer(tmp_path):
     cache = ScoreCache({("q", "a"): 1.5})
-    scorer = CachedScorer(cache)
-    assert scorer.score_batch("q", "", ["a"]) == [1.5]
-    with pytest.raises(KeyError):
-        scorer.score_batch("q", "", ["a", "zzz"])
+    assert cache.score_batch("q", "", ["a"]) == [1.5]
+    with pytest.raises(KeyError, match="no cached score for query 'q' doc 'zzz'"):
+        cache.score_batch("q", "", ["a", "zzz"])
 
     path = tmp_path / "cache.tsv"
     cache.save(path)
-    assert CachedScorer(ScoreCache.load(path)).score_batch("q", "", ["a"]) == [1.5]
+    assert ScoreCache.load(path).score_batch("q", "", ["a"]) == [1.5]
 
 
 # --- OracleScorer -------------------------------------------------------------
@@ -264,5 +262,5 @@ def test_recording_scorer_captures_pairs():
     assert rec.records[("q1", "a")] == scores[0]
     assert rec.records[("q1", "b")] == scores[1]
     assert set(rec.records) == {("q1", "a"), ("q1", "b"), ("q2", "a")}
-    cache = rec.to_cache()
+    cache = ScoreCache(rec.records)
     assert cache.lookup("q1", "b") == scores[1]

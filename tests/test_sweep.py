@@ -7,6 +7,7 @@ from gar import (
     CorpusGraph,
     DocMap,
     OracleScorer,
+    Ranking,
     ReRankConfig,
     SENTINEL,
     sweep_parameter,
@@ -22,7 +23,7 @@ def chain_graph():
     return CorpusGraph(edges, DocMap(["a", "b", "c"]))
 
 
-RUNS = {"q": [("a", 1.0)]}
+POOLS = {"q": Ranking.from_pairs("q", [("a", 1.0)])}
 QRELS = {"q": {"b": 2, "c": 2}}
 
 
@@ -30,7 +31,7 @@ def test_sweep_k_controls_reachability():
     rows = sweep_parameter(
         "k",
         [1, 2],
-        RUNS,
+        POOLS,
         OracleScorer(QRELS),
         chain_graph(),
         QRELS,
@@ -43,12 +44,12 @@ def test_sweep_k_controls_reachability():
 
 
 def test_sweep_b_on_edgeless_graph_is_flat():
-    runs = {"q": [(f"d{i}", float(9 - i)) for i in range(9)]}
+    pools = {"q": Ranking.from_pairs("q", [(f"d{i}", float(9 - i)) for i in range(9)])}
     qrels = {"q": {"d3": 2, "d7": 3}}
     rows = sweep_parameter(
         "b",
         [1, 2, 4, 8],
-        runs,
+        pools,
         HashScorer(),
         edgeless_graph([f"d{i}" for i in range(9)]),
         qrels,
@@ -64,7 +65,7 @@ def test_sweep_reports_every_metric():
     rows = sweep_parameter(
         "k",
         [1],
-        RUNS,
+        POOLS,
         OracleScorer(QRELS),
         chain_graph(),
         QRELS,
@@ -76,11 +77,11 @@ def test_sweep_reports_every_metric():
 
 def test_sweep_gain_passthrough():
     lin = sweep_parameter(
-        "k", [2], RUNS, OracleScorer(QRELS), chain_graph(), QRELS,
+        "k", [2], POOLS, OracleScorer(QRELS), chain_graph(), QRELS,
         ["ndcg"], ReRankConfig(batch_size=1, budget=3), gain="lin",
     )
     exp = sweep_parameter(
-        "k", [2], RUNS, OracleScorer(QRELS), chain_graph(), QRELS,
+        "k", [2], POOLS, OracleScorer(QRELS), chain_graph(), QRELS,
         ["ndcg"], ReRankConfig(batch_size=1, budget=3), gain="exp",
     )
     assert lin[0].means["ndcg"] == exp[0].means["ndcg"] == pytest.approx(1.0)
@@ -88,16 +89,16 @@ def test_sweep_gain_passthrough():
 
 def test_sweep_validation():
     with pytest.raises(ValueError, match="vary must be"):
-        sweep_parameter("x", [1], RUNS, HashScorer(), chain_graph(), QRELS, ["ndcg"])
+        sweep_parameter("x", [1], POOLS, HashScorer(), chain_graph(), QRELS, ["ndcg"])
     with pytest.raises(ValueError, match="no sweep values"):
-        sweep_parameter("k", [], RUNS, HashScorer(), chain_graph(), QRELS, ["ndcg"])
+        sweep_parameter("k", [], POOLS, HashScorer(), chain_graph(), QRELS, ["ndcg"])
 
 
 def test_write_sweep_table(tmp_path):
     rows = sweep_parameter(
         "k",
         [1, 2],
-        RUNS,
+        POOLS,
         OracleScorer(QRELS),
         chain_graph(),
         QRELS,
