@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from .graph import CorpusGraph
 from .ranking import Ranking
-from .rerank import RecordingScorer, ReRankConfig, ScoreCache, Scorer, gar_rerank, typical_rerank
+from .rerank import RecordingScorer, ReRankConfig, ScoreCache, Scorer, gar_rerank, rerank_run, typical_rerank
 
 DEFAULT_BUDGETS = (100, 250, 500, 750, 1000)
 DEFAULT_REPEATS = 10
@@ -96,10 +96,8 @@ def precompute_cache(
     """
     recorder = RecordingScorer(base_scorer)
     config = ReRankConfig(batch_size=batch_size, budget=max_budget)
-    for qid in sorted(pools):
-        text = query_texts.get(qid, "") if query_texts else ""
-        typical_rerank(pools[qid], recorder, config, text)
-        gar_rerank(pools[qid], recorder, graph, config, text)
+    rerank_run(pools, recorder, config, None, query_texts)
+    rerank_run(pools, recorder, config, graph, query_texts)
     return ScoreCache(recorder.records)
 
 
@@ -144,8 +142,10 @@ def latency_bench(
     """Per-query wall time of both modes over repeated paired runs.
 
     For each budget, a discarded warm-up pass precedes `repeats` paired
-    passes (plain then adaptive). The overhead CI is the 95% Student-t
-    interval over the per-run mean differences. Cache misses abort.
+    passes, plain first in even runs and adaptive first in odd ones; the
+    rows list each run's plain pass before its adaptive one. The overhead
+    CI is the 95% Student-t interval over the per-run mean differences.
+    Cache misses abort.
     """
     if repeats < 2:
         raise ValueError(f"repeats must be at least 2, got {repeats}")
@@ -168,14 +168,14 @@ def latency_bench(
             _timed_pass(queries, run_gar)
             typical_totals = []
             gar_totals = []
+            passes = ((MODE_TYPICAL, run_typical, typical_totals), (MODE_GAR, run_gar, gar_totals))
             for run_idx in range(repeats):
-                for mode, call, totals in (
-                    (MODE_TYPICAL, run_typical, typical_totals),
-                    (MODE_GAR, run_gar, gar_totals),
-                ):
-                    timings = _timed_pass(queries, call)
-                    totals.append(sum(micros for _, micros in timings))
-                    rows.extend((budget, mode, run_idx, qid, micros) for qid, micros in timings)
+                # odd runs time adaptive first, so a drifting host biases neither mode
+                order = passes if run_idx % 2 == 0 else passes[::-1]
+                timings = {mode: _timed_pass(queries, call) for mode, call, _ in order}
+                for mode, _, totals in passes:
+                    totals.append(sum(micros for _, micros in timings[mode]))
+                    rows.extend((budget, mode, run_idx, qid, micros) for qid, micros in timings[mode])
             n_queries = len(queries)
             diffs = np.array(
                 [(g - t) / n_queries for g, t in zip(gar_totals, typical_totals)]
@@ -212,11 +212,7 @@ def write_latency_report(path: str | Path, report: LatencyReport) -> None:
         for budget, mode, run_idx, qid, micros in report.rows:
             fh.write(f"{budget}\t{mode}\t{run_idx}\t{qid}\t{micros:.3f}\n")
         for s in report.stats:
-            for stat_name, value in (
-                ("typical_mean_us", s.typical_mean_us),
-                ("gar_mean_us", s.gar_mean_us),
-                ("overhead_mean_us", s.overhead_mean_us),
-                ("ci95_lo_us", s.ci95_lo_us),
-                ("ci95_hi_us", s.ci95_hi_us),
-            ):
-                fh.write(f"{s.budget}\tsummary\t{stat_name}\tall\t{value:.3f}\n")
+            stats = asdict(s)
+            budget = stats.pop("budget")
+            for stat_name, value in stats.items():
+                fh.write(f"{budget}\tsummary\t{stat_name}\tall\t{value:.3f}\n")

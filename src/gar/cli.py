@@ -331,7 +331,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, IndexError, FileNotFoundError, RuntimeError) as exc:
+    except (ValueError, KeyError, IndexError, OSError, RuntimeError) as exc:
         if isinstance(exc, OSError):
             message = f"{exc.strerror}: {exc.filename}"
         else:

@@ -14,8 +14,10 @@ import numpy as np
 
 from .lexical import DenseVectors
 
-Run = Mapping[str, Sequence[tuple[str, float]]]
-Qrels = Mapping[str, Mapping[str, int]]
+Ranked = Sequence[tuple[str, float]]
+Run = Mapping[str, Ranked]
+Labels = Mapping[str, int]
+Qrels = Mapping[str, Labels]
 
 N_LABELS = 4  # graded relevance 0..3
 
@@ -28,17 +30,22 @@ class MetricValues:
     mean: float
 
 
-def _finish(name: str, per_query: dict[str, float]) -> MetricValues:
-    if not per_query:
-        raise ValueError(f"{name}: no qualifying queries")
-    return MetricValues(per_query, sum(per_query.values()) / len(per_query))
-
-
-def _common_qids(run: Run, qrels: Qrels) -> list[str]:
+def _mean_over_queries(
+    name: str, run: Run, qrels: Qrels, value: Callable[[str, Ranked, Labels], float | None]
+) -> MetricValues:
+    """`value(qid, ranked, labels)` of every query in both run and qrels; a
+    query whose value is None does not qualify and stays out of the mean."""
     qids = sorted(set(run) & set(qrels))
     if not qids:
         raise ValueError("run and qrels share no queries")
-    return qids
+    per_query: dict[str, float] = {}
+    for qid in qids:
+        result = value(qid, run[qid], qrels[qid])
+        if result is not None:
+            per_query[qid] = result
+    if not per_query:
+        raise ValueError(f"{name}: no qualifying queries")
+    return MetricValues(per_query, sum(per_query.values()) / len(per_query))
 
 
 def _gain_fn(gain: str) -> Callable[[int], float]:
@@ -56,83 +63,74 @@ def ndcg(run: Run, qrels: Qrels, cutoff: int | None = None, gain: str = "exp") -
     (no positively labelled docs) are skipped.
     """
     gain_of = _gain_fn(gain)
-    per_query: dict[str, float] = {}
-    for qid in _common_qids(run, qrels):
-        labels = qrels[qid]
-        ideal = sorted(labels.values(), reverse=True)
-        if cutoff is not None:
-            ideal = ideal[:cutoff]
+
+    def value(qid: str, ranked: Ranked, labels: Labels) -> float | None:
+        ideal = sorted(labels.values(), reverse=True)[:cutoff]
         idcg = sum(gain_of(rel) / math.log2(pos + 1) for pos, rel in enumerate(ideal, 1))
         if idcg == 0.0:
-            continue
-        ranked = run[qid] if cutoff is None else run[qid][:cutoff]
-        dcg = sum(
-            gain_of(labels.get(docid, 0)) / math.log2(pos + 1)
-            for pos, (docid, _) in enumerate(ranked, 1)
-        )
-        per_query[qid] = dcg / idcg
-    return _finish("ndcg", per_query)
+            return None
+        gains = (gain_of(labels.get(docid, 0)) for docid, _ in ranked[:cutoff])
+        return sum(gain / math.log2(pos + 1) for pos, gain in enumerate(gains, 1)) / idcg
+
+    return _mean_over_queries("ndcg", run, qrels, value)
 
 
-def _relevant(labels: Mapping[str, int], min_rel: int) -> set[str]:
+def _relevant(labels: Labels, min_rel: int) -> set[str]:
     return {docid for docid, rel in labels.items() if rel >= min_rel}
 
 
 def map_at(run: Run, qrels: Qrels, min_rel: int = 2) -> MetricValues:
     """Mean average precision with labels binarized at `min_rel`."""
-    per_query: dict[str, float] = {}
-    for qid in _common_qids(run, qrels):
-        relevant = _relevant(qrels[qid], min_rel)
+
+    def value(qid: str, ranked: Ranked, labels: Labels) -> float | None:
+        relevant = _relevant(labels, min_rel)
         if not relevant:
-            continue
+            return None
         hits = 0
         total = 0.0
-        for pos, (docid, _) in enumerate(run[qid], 1):
+        for pos, (docid, _) in enumerate(ranked, 1):
             if docid in relevant:
                 hits += 1
                 total += hits / pos
-        per_query[qid] = total / len(relevant)
-    return _finish("map", per_query)
+        return total / len(relevant)
+
+    return _mean_over_queries("map", run, qrels, value)
 
 
 def recall_at(run: Run, qrels: Qrels, k: int = 1000, min_rel: int = 2) -> MetricValues:
     """Fraction of relevant docs retrieved in the top k."""
-    per_query: dict[str, float] = {}
-    for qid in _common_qids(run, qrels):
-        relevant = _relevant(qrels[qid], min_rel)
+
+    def value(qid: str, ranked: Ranked, labels: Labels) -> float | None:
+        relevant = _relevant(labels, min_rel)
         if not relevant:
-            continue
-        found = sum(1 for docid, _ in run[qid][:k] if docid in relevant)
-        per_query[qid] = found / len(relevant)
-    return _finish("recall", per_query)
+            return None
+        return sum(1 for docid, _ in ranked[:k] if docid in relevant) / len(relevant)
+
+    return _mean_over_queries("recall", run, qrels, value)
 
 
 def rr_at(run: Run, qrels: Qrels, k: int = 10, min_rel: int = 1) -> MetricValues:
     """Reciprocal rank of the first relevant doc within the top k, else 0."""
-    per_query: dict[str, float] = {}
-    for qid in _common_qids(run, qrels):
-        relevant = _relevant(qrels[qid], min_rel)
+
+    def value(qid: str, ranked: Ranked, labels: Labels) -> float | None:
+        relevant = _relevant(labels, min_rel)
         if not relevant:
-            continue
-        value = 0.0
-        for pos, (docid, _) in enumerate(run[qid][:k], 1):
-            if docid in relevant:
-                value = 1.0 / pos
-                break
-        per_query[qid] = value
-    return _finish("rr", per_query)
+            return None
+        return next((1.0 / pos for pos, (docid, _) in enumerate(ranked[:k], 1) if docid in relevant), 0.0)
+
+    return _mean_over_queries("rr", run, qrels, value)
 
 
 def judged_at(run: Run, qrels: Qrels, k: int = 10) -> MetricValues:
     """Fraction of the top k retrieved docs that carry any judgment."""
-    per_query: dict[str, float] = {}
-    for qid in _common_qids(run, qrels):
-        top = run[qid][:k]
+
+    def value(qid: str, ranked: Ranked, labels: Labels) -> float | None:
+        top = ranked[:k]
         if not top:
-            continue
-        judged = sum(1 for docid, _ in top if docid in qrels[qid])
-        per_query[qid] = judged / len(top)
-    return _finish("judged", per_query)
+            return None
+        return sum(1 for docid, _ in top if docid in labels) / len(top)
+
+    return _mean_over_queries("judged", run, qrels, value)
 
 
 def metric_fn(spec: str, gain: str = "exp") -> Callable[[Run, Qrels], MetricValues]:
@@ -149,19 +147,16 @@ def metric_fn(spec: str, gain: str = "exp") -> Callable[[Run, Qrels], MetricValu
             raise ValueError(f"metric cutoff must be positive in {spec!r}")
     if name == "ndcg":
         return lambda run, qrels: ndcg(run, qrels, cutoff, gain)
-    if cutoff is None and name in ("recall", "rr", "judged"):
-        raise ValueError(f"metric {name!r} needs a cutoff, e.g. '{name}@10'")
     if name == "map":
         if cutoff is not None:
             raise ValueError("map takes no cutoff")
         return lambda run, qrels: map_at(run, qrels)
-    if name == "recall":
-        return lambda run, qrels: recall_at(run, qrels, cutoff)
-    if name == "rr":
-        return lambda run, qrels: rr_at(run, qrels, cutoff)
-    if name == "judged":
-        return lambda run, qrels: judged_at(run, qrels, cutoff)
-    raise ValueError(f"unknown metric {spec!r}")
+    cut_metric = {"recall": recall_at, "rr": rr_at, "judged": judged_at}.get(name)
+    if cut_metric is None:
+        raise ValueError(f"unknown metric {spec!r}")
+    if cutoff is None:
+        raise ValueError(f"metric {name!r} needs a cutoff, e.g. '{name}@10'")
+    return lambda run, qrels: cut_metric(run, qrels, cutoff)
 
 
 # --- corpus-structure diagnostics ------------------------------------------
@@ -221,12 +216,11 @@ def ils(
     relevant retrieved docs are skipped.
     """
     docmap = vectors.docmap
-    per_query: dict[str, float] = {}
-    for qid in _common_qids(run, qrels):
-        labels = qrels[qid]
-        rel_docs = [d for d, _ in run[qid][:depth] if labels.get(d, 0) >= min_rel]
+
+    def value(qid: str, ranked: Ranked, labels: Labels) -> float | None:
+        rel_docs = [d for d, _ in ranked[:depth] if labels.get(d, 0) >= min_rel]
         if len(rel_docs) < 2:
-            continue
+            return None
         rows = []
         for docid in rel_docs:
             internal = docmap.get(docid)
@@ -235,7 +229,7 @@ def ils(
             rows.append(vectors.row(internal))
         m = np.asarray(rows, dtype=np.float64)
         sims = m @ m.T
-        n = len(rel_docs)
-        upper = sims[np.triu_indices(n, k=1)]
-        per_query[qid] = float(np.clip(upper, -1.0, 1.0).mean())
-    return _finish("ils", per_query)
+        upper = sims[np.triu_indices(len(rel_docs), k=1)]
+        return float(np.clip(upper, -1.0, 1.0).mean())
+
+    return _mean_over_queries("ils", run, qrels, value)

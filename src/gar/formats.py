@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence, TextIO
 import numpy as np
 
 from .evaluate import MetricValues, N_LABELS
-from .ranking import PROV_FRONTIER, PROV_INITIAL, Ranking
+from .ranking import PROV_FRONTIER, PROV_INITIAL, Ranking, provenance_of
 
 _NA = "NA"
 
@@ -54,6 +54,8 @@ def read_queries(path: str | Path) -> dict[str, str]:
         if "\t" not in line:
             raise ValueError(f"{path}: line {lineno}: expected qid<TAB>text")
         qid, text = line.split("\t", 1)
+        if qid.split() != [qid]:
+            raise ValueError(f"{path}: line {lineno}: query id {qid!r} is empty or holds whitespace")
         if qid in queries:
             raise ValueError(f"{path}: line {lineno}: duplicate query id {qid!r}")
         queries[qid] = text
@@ -186,19 +188,22 @@ def _read_run_rows(path: str | Path) -> dict[str, list[tuple[str, float]]]:
     return runs
 
 
-def write_run(
-    path: str | Path,
-    rankings: Mapping[str, Ranking | Sequence[tuple[str, float]]],
-    tag: str = "gar",
-) -> None:
-    """Write rankings in qid order. Scores must be finite and docids unique
-    per query, as `read_run` requires; nothing is written otherwise."""
+def write_run(path: str | Path, rankings: Mapping[str, Ranking], tag: str = "gar") -> None:
+    """Write rankings in qid order. Scores must be finite, and the tag, every
+    qid and every docid one whitespace-free token, as `read_run` requires;
+    nothing is written otherwise."""
+    if tag.split() != [tag]:
+        raise ValueError(f"{path}: tag {tag!r} is empty or holds whitespace")
     columns = {}
     for qid in sorted(rankings):
-        ranked = rankings[qid]
-        if not isinstance(ranked, Ranking):
-            ranked = Ranking.from_pairs(qid, ranked)
-        docids, scores = ranked.docids(), ranked.scores()
+        docids, scores = rankings[qid].docids(), rankings[qid].scores()
+        if qid.split() != [qid]:
+            raise ValueError(f"{path}: query id {qid!r} is empty or holds whitespace")
+        # whitespace in any docid splits the joined docids apart
+        joined = "".join(docids)
+        if "" in docids or (joined and joined.split() != [joined]):
+            docid = next(docid for docid in docids if docid.split() != [docid])
+            raise ValueError(f"{path}: docid {docid!r} for query {qid!r} is empty or holds whitespace")
         bad = np.flatnonzero(~np.isfinite(scores))
         if len(bad):
             raise ValueError(
@@ -237,8 +242,11 @@ class TraceRow:
     docid: str
     initial_rank: int | None
     final_rank: int
-    provenance: str
     source: str | None
+
+    @property
+    def provenance(self) -> str:
+        return provenance_of(self.source)
 
 
 def write_trace(path: str | Path, pools: Mapping[str, Ranking], rankings: Mapping[str, Ranking]) -> None:
@@ -281,7 +289,7 @@ def read_trace(path: str | Path) -> list[TraceRow]:
             source = None
         elif provenance != PROV_FRONTIER:
             raise ValueError(f"{path}: line {lineno}: bad provenance {provenance!r}")
-        rows.append(TraceRow(qid, docid, initial_rank, final_rank, provenance, source))
+        rows.append(TraceRow(qid, docid, initial_rank, final_rank, source))
     return rows
 
 

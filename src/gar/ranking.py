@@ -11,57 +11,65 @@ PROV_INITIAL = "initial"
 PROV_FRONTIER = "frontier"
 
 
+def provenance_of(source: str | None) -> str:
+    """Frontier for a doc that `source` surfaced through the graph, initial for a pool doc (no source)."""
+    return PROV_INITIAL if source is None else PROV_FRONTIER
+
+
 @dataclass(frozen=True)
 class RankEntry:
     """One scored doc in a ranking.
 
-    `provenance` records whether the doc came from the initial pool or was
-    discovered through the corpus graph; `source` names the doc whose
-    neighbourhood surfaced it (frontier entries only).
+    `source` names the doc whose neighbourhood surfaced it, or is None for a
+    doc of the initial pool; `provenance` follows from it.
     """
 
     docid: str
     score: float
-    provenance: str = PROV_INITIAL
     source: str | None = None
+
+    @property
+    def provenance(self) -> str:
+        return provenance_of(self.source)
 
 
 class Ranking:
     """Ordered, per-query result list with unique docids.
 
     Stored as columns: a docid tuple, a read-only float64 score array, and
-    provenance and source tuples. A `RankEntry` is built only when a caller
-    iterates or indexes.
+    a source tuple, from which each provenance follows. A `RankEntry` is
+    built only when a caller iterates or indexes.
     """
 
-    __slots__ = ("qid", "_docids", "_scores", "_provenances", "_sources")
+    __slots__ = ("qid", "_docids", "_scores", "_sources")
 
     def __init__(
         self,
         qid: str,
         docids: Iterable[str],
         scores: Sequence[float] | np.ndarray,
-        provenances: Iterable[str] | None = None,
+        *,
         sources: Iterable[str | None] | None = None,
     ):
         """Columns of equal length, in rank order; the scores are copied, and
-        provenance defaults to initial with no source."""
+        sources default to None (every doc from the initial pool)."""
         docids = tuple(docids)
         n = len(docids)
         scores = np.array(scores, dtype=np.float64)
-        provenances = (PROV_INITIAL,) * n if provenances is None else tuple(provenances)
         sources = (None,) * n if sources is None else tuple(sources)
-        if scores.shape != (n,) or len(provenances) != n or len(sources) != n:
+        if scores.shape != (n,) or len(sources) != n:
             raise ValueError(
                 f"ranking columns for query {qid!r} differ in length: {n} docids, "
-                f"scores of shape {scores.shape}, {len(provenances)} provenances, {len(sources)} sources"
+                f"scores of shape {scores.shape}, {len(sources)} sources"
             )
-        _check_unique(qid, docids)
+        if len(set(docids)) != n:
+            seen: set[str] = set()
+            duplicate = next(docid for docid in docids if docid in seen or seen.add(docid))
+            raise ValueError(f"duplicate docid in ranking for query {qid!r}: {duplicate!r}")
         scores.setflags(write=False)
         self.qid = qid
         self._docids = docids
         self._scores = scores
-        self._provenances = provenances
         self._sources = sources
 
     @classmethod
@@ -81,7 +89,7 @@ class Ranking:
         return self._scores
 
     def provenances(self) -> tuple[str, ...]:
-        return self._provenances
+        return tuple(map(provenance_of, self._sources))
 
     def sources(self) -> tuple[str | None, ...]:
         return self._sources
@@ -93,22 +101,12 @@ class Ranking:
         return len(self._docids)
 
     def __iter__(self) -> Iterator[RankEntry]:
-        return map(RankEntry, self._docids, self._scores.tolist(), self._provenances, self._sources)
+        return map(RankEntry, self._docids, self._scores.tolist(), self._sources)
 
     def __getitem__(self, i: int) -> RankEntry:
         if isinstance(i, slice):
             return self.entries[i]
-        return RankEntry(self._docids[i], float(self._scores[i]), self._provenances[i], self._sources[i])
+        return RankEntry(self._docids[i], float(self._scores[i]), self._sources[i])
 
     def __repr__(self) -> str:
         return f"Ranking(qid={self.qid!r}, {len(self._docids)} entries)"
-
-
-def _check_unique(qid: str, docids: tuple[str, ...]) -> None:
-    if len(set(docids)) == len(docids):
-        return
-    seen: set[str] = set()
-    for docid in docids:
-        if docid in seen:
-            raise ValueError(f"duplicate docid in ranking for query {qid!r}: {docid!r}")
-        seen.add(docid)

@@ -19,9 +19,10 @@ from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
+from .formats import _lines
 from .graph import SENTINEL, CorpusGraph
 from .lexical import Bm25Params, InvertedIndex, bm25_scores, tokenize
-from .ranking import PROV_FRONTIER, PROV_INITIAL, Ranking
+from .ranking import Ranking
 
 # Backfill scores step down by this much per doc; large enough to survive
 # the 6-decimal score field of run files. Where the scores are too large for
@@ -93,29 +94,25 @@ class ScoreCache:
     @classmethod
     def load(cls, path: str | Path) -> "ScoreCache":
         scores: dict[tuple[str, str], float] = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise ValueError(f"{path}: line {lineno}: expected qid<TAB>docid<TAB>score")
-                qid, docid, raw = parts
-                try:
-                    score = float(raw)
-                except ValueError:
-                    raise ValueError(f"{path}: line {lineno}: bad score {raw!r}") from None
-                if not math.isfinite(score):
-                    raise ValueError(
-                        f"{path}: line {lineno}: non-finite score {raw!r} for query {qid!r} doc {docid!r}"
-                    )
-                key = (qid, docid)
-                if key in scores and scores[key] != score:
-                    raise ValueError(
-                        f"{path}: line {lineno}: conflicting scores for query {qid!r} doc {docid!r}"
-                    )
-                scores[key] = score
+        for lineno, line in _lines(path):
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise ValueError(f"{path}: line {lineno}: expected qid<TAB>docid<TAB>score")
+            qid, docid, raw = parts
+            try:
+                score = float(raw)
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: bad score {raw!r}") from None
+            if not math.isfinite(score):
+                raise ValueError(
+                    f"{path}: line {lineno}: non-finite score {raw!r} for query {qid!r} doc {docid!r}"
+                )
+            key = (qid, docid)
+            if key in scores and scores[key] != score:
+                raise ValueError(
+                    f"{path}: line {lineno}: conflicting scores for query {qid!r} doc {docid!r}"
+                )
+            scores[key] = score
         return cls(scores)
 
 
@@ -346,8 +343,7 @@ def _rerank(
         qid,
         block_ids + remainder,
         np.concatenate((scores, backfill(min(scores), n))),
-        tuple(PROV_INITIAL if source is None else PROV_FRONTIER for source in sources) + (PROV_INITIAL,) * n,
-        sources + (None,) * n,
+        sources=sources + (None,) * n,
     )
 
 

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import itertools
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,8 +13,10 @@ import pytest
 import gar
 
 from gar import (
+    SENTINEL,
     Bm25Params,
     Bm25Scorer,
+    CorpusGraph,
     ReRankConfig,
     Ranking,
     bm25_doc_topk,
@@ -121,6 +125,19 @@ def test_latency_bench_report_shape():
     modes = {mode for _, mode, _, _, _ in report.rows}
     assert modes == {"typical", "gar"}
     assert all(micros >= 0.0 for *_, micros in report.rows)
+
+
+def test_latency_bench_alternation_cancels_a_drifting_clock(monkeypatch):
+    graph, pools = small_instance()
+    edgeless = CorpusGraph(np.full((graph.n_docs, graph.k), SENTINEL, dtype=np.uint32), graph.docmap)
+    cache = precompute_cache(pools, HashScorer(), graph, batch_size=2, max_budget=8)
+    # read i of the clock is at 1000 * i**2 ns, so each timed query reads
+    # 4 us longer than the one before it, whichever mode runs
+    reads = itertools.count()
+    monkeypatch.setattr(gar.bench, "time", SimpleNamespace(perf_counter_ns=lambda: 1000 * next(reads) ** 2))
+    for repeats in (2, 4, 10):
+        report = latency_bench(pools, cache, edgeless, budgets=(8,), batch_size=2, repeats=repeats)
+        assert report.stats[0].overhead_mean_us == pytest.approx(0.0, abs=1e-9)
 
 
 def test_latency_bench_validation():

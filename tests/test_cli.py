@@ -381,6 +381,23 @@ def test_cli_error_paths(workdir, capsys):
     assert "error:" in message
     assert "missing.txt" in message
 
+    rc = run_cli("evaluate", "--run", workdir, "--qrels", qrels)
+    assert rc == 2
+    assert err(capsys) == f"error: Is a directory: {workdir}\n"
+
+
+def test_retrieve_refuses_what_the_run_reader_would_split(workdir, capsys):
+    corpus = workdir / "corpus.tsv"
+    out = workdir / "run.txt"
+    (workdir / "spaced.tsv").write_text("q 1\tapple\n")
+    rc = run_cli("retrieve", "--corpus", corpus, "--queries", workdir / "spaced.tsv", "--out", out)
+    assert rc == 2
+    assert "line 1: query id 'q 1' is empty or holds whitespace" in err(capsys)
+    rc = run_cli("retrieve", "--corpus", corpus, "--queries", workdir / "queries.tsv", "--out", out, "--tag", "my tag")
+    assert rc == 2
+    assert "tag 'my tag' is empty or holds whitespace" in err(capsys)
+    assert not out.exists()
+
 
 def test_cli_help_and_bad_command(capsys):
     with pytest.raises(SystemExit) as excinfo:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -71,6 +72,14 @@ def test_queries_duplicate_qid(tmp_path):
         read_queries(path)
 
 
+@pytest.mark.parametrize("qid", ["q 1", "", "q\xa01", "q\x1c", "q\u3000"])
+def test_queries_reject_a_qid_a_run_file_would_split(tmp_path, qid):
+    path = tmp_path / "queries.tsv"
+    path.write_text(f"q0\tfine\n{qid}\ttext\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"line 2: query id {re.escape(repr(qid))} is empty or holds whitespace"):
+        read_queries(path)
+
+
 # --- qrels -------------------------------------------------------------------
 
 
@@ -103,7 +112,8 @@ def test_qrels_errors(tmp_path):
 def test_run_round_trip(tmp_path):
     rankings = {
         "q2": Ranking.from_pairs("q2", [("a", 1.5), ("b", 0.25)]),
-        "q1": [("c", 2.0)],
+        "q1": Ranking.from_pairs("q1", [("c", 2.0)]),
+        "q3": Ranking("q3", [], []),
     }
     path = tmp_path / "run.txt"
     write_run(path, rankings, tag="mytag")
@@ -115,12 +125,15 @@ def test_run_round_trip(tmp_path):
 
 def test_run_default_tag(tmp_path):
     path = tmp_path / "run.txt"
-    write_run(path, {"q": [("a", 1.0)]})
+    write_run(path, {"q": Ranking.from_pairs("q", [("a", 1.0)])})
     assert path.read_text().split()[-1] == "gar"
 
 
 def test_run_write_is_deterministic(tmp_path):
-    rankings = {"q2": [("a", 1.0)], "q1": [("b", 0.5), ("a", 0.25)]}
+    rankings = {
+        "q2": Ranking.from_pairs("q2", [("a", 1.0)]),
+        "q1": Ranking.from_pairs("q1", [("b", 0.5), ("a", 0.25)]),
+    }
     p1, p2 = tmp_path / "r1.txt", tmp_path / "r2.txt"
     write_run(p1, rankings)
     write_run(p2, dict(reversed(list(rankings.items()))))
@@ -285,9 +298,37 @@ def test_write_run_rejects_non_finite_score(tmp_path, score):
     ranking = Ranking.from_pairs("q", [("a", 1.0), ("b", score)])
     with pytest.raises(ValueError, match=rf"non-finite score {score!r} for query 'q' doc 'b'"):
         write_run(path, {"q": ranking})
-    with pytest.raises(ValueError, match="non-finite score"):
-        write_run(path, {"q": [("a", score)]})
     assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "qid, docids, tag, message",
+    [
+        ("q 1", ["d1"], "gar", "query id 'q 1' is empty or holds whitespace"),
+        ("", ["d1"], "gar", "query id '' is empty or holds whitespace"),
+        ("q", ["d1", "", "d2"], "gar", "docid '' for query 'q' is empty or holds whitespace"),
+        ("q", ["d1", "d 2", "d 3"], "gar", "docid 'd 2' for query 'q' is empty or holds whitespace"),
+        ("q", ["\td1", "d2"], "gar", "docid '\\td1' for query 'q' is empty or holds whitespace"),
+        ("q", ["d1", "d\u20282"], "gar", "docid 'd\\u20282' for query 'q' is empty or holds whitespace"),
+        ("q", ["d1"], "my tag", "tag 'my tag' is empty or holds whitespace"),
+        ("q", ["d1"], "", "tag '' is empty or holds whitespace"),
+    ],
+    ids=["spaced-qid", "empty-qid", "empty-docid", "spaced-docid", "leading-tab-docid", "line-separator-docid", "spaced-tag", "empty-tag"],
+)
+def test_write_run_rejects_tokens_read_run_would_split(tmp_path, qid, docids, tag, message):
+    path = tmp_path / "run.txt"
+    rankings = {"a": Ranking("a", ["x"], [1.0]), qid: Ranking(qid, docids, [1.0] * len(docids))}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        write_run(path, rankings, tag)
+    assert not path.exists()
+    # the lines the check spares a reader: read_run refuses them or reads something else
+    pairs = [(docid, 1.0) for docid in docids]
+    path.write_text(reference_run_text({qid: pairs}, tag), encoding="utf-8")
+    try:
+        back = read_run(path)
+    except ValueError:
+        back = None
+    assert back != {qid: pairs}
 
 
 finite_scores = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-7, -5e-7, 1e300])
@@ -297,12 +338,11 @@ names = st.text(st.sampled_from("ab9%{}é\x00"), min_size=1, max_size=3)
 @settings(max_examples=150)
 @given(
     st.dictionaries(names, st.lists(st.tuples(names, finite_scores), max_size=6, unique_by=lambda p: p[0]), max_size=4),
-    st.booleans(),
     names,
 )
-def test_write_run_matches_line_reference(tmp_path_factory, runs, as_rankings, tag):
+def test_write_run_matches_line_reference(tmp_path_factory, runs, tag):
     path = tmp_path_factory.getbasetemp() / "write_run.txt"
-    rankings = {qid: Ranking.from_pairs(qid, pairs) for qid, pairs in runs.items()} if as_rankings else runs
+    rankings = {qid: Ranking.from_pairs(qid, pairs) for qid, pairs in runs.items()}
     write_run(path, rankings, tag)
     assert path.read_bytes() == reference_run_text(runs, tag).encode("utf-8")
 
@@ -316,17 +356,25 @@ def test_write_trace_matches_line_reference(tmp_path_factory, data):
         extra = data.draw(st.lists(names.filter(lambda d: d not in pool), max_size=3, unique=True))
         order = data.draw(st.permutations(pool + extra))
         rows = [
-            (docid, "initial", None) if docid in pool and data.draw(st.booleans()) else (docid, "frontier", data.draw(names))
+            (docid, "initial", None)
+            if docid in pool and data.draw(st.booleans())
+            else (docid, "frontier", data.draw(names | st.just("NA")))
             for docid in order
         ]
         pools[qid] = Ranking.from_pairs(qid, [(docid, 0.0) for docid in pool])
-        docids, provenances, sources = zip(*rows)
-        rankings[qid] = Ranking(qid, docids, [1.0] * len(rows), provenances, sources)
+        docids, _, sources = zip(*rows)
+        rankings[qid] = Ranking(qid, docids, [1.0] * len(rows), sources=sources)
         outputs[qid] = rows
     path = tmp_path_factory.getbasetemp() / "write_trace.tsv"
     write_trace(path, pools, rankings)
     want = reference_trace_text({qid: ranking.docids() for qid, ranking in pools.items()}, outputs)
     assert path.read_bytes() == want.encode("utf-8")
+    read_back = [(row.qid, row.docid, row.final_rank, row.provenance, row.source) for row in read_trace(path)]
+    assert read_back == [
+        (qid, docid, rank, provenance, source)
+        for qid in sorted(outputs)
+        for rank, (docid, provenance, source) in enumerate(outputs[qid], 1)
+    ]
 
 
 # --- trace -------------------------------------------------------------------
@@ -337,7 +385,7 @@ def test_trace_round_trip(tmp_path):
     for source in ("d0", "NA"):
         pools = {"q1": Ranking.from_pairs("q1", [(source, 2.0), ("d1", 1.0)])}
         rankings = {
-            "q1": Ranking("q1", ["d4", source, "d1"], [3.0, 2.0, 1.0], ["frontier", "initial", "initial"], [source, None, None])
+            "q1": Ranking("q1", ["d4", source, "d1"], [3.0, 2.0, 1.0], sources=[source, None, None])
         }
         path = tmp_path / "trace.tsv"
         write_trace(path, pools, rankings)
@@ -345,11 +393,13 @@ def test_trace_round_trip(tmp_path):
         assert lines[0] == "qid\tdocid\tinitial_rank\tfinal_rank\tprovenance\tsource_docid"
         assert lines[1] == f"q1\td4\tNA\t1\tfrontier\t{source}"
         assert lines[2] == f"q1\t{source}\t1\t2\tinitial\tNA"
-        assert read_trace(path) == [
-            TraceRow("q1", "d4", None, 1, "frontier", source),
-            TraceRow("q1", source, 1, 2, "initial", None),
-            TraceRow("q1", "d1", 2, 3, "initial", None),
+        rows = read_trace(path)
+        assert rows == [
+            TraceRow("q1", "d4", None, 1, source),
+            TraceRow("q1", source, 1, 2, None),
+            TraceRow("q1", "d1", 2, 3, None),
         ]
+        assert [row.provenance for row in rows] == ["frontier", "initial", "initial"]
 
 
 def test_trace_bad_header(tmp_path):

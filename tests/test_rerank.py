@@ -25,6 +25,7 @@ from gar import (
     typical_rerank,
     write_trace,
 )
+from gar.ranking import provenance_of
 from gar.rerank import backfill
 from oracles import closure, reference_backfill, reference_rerank
 from synthdata import (
@@ -83,8 +84,8 @@ def test_rerank_orders_ties_by_str_with_trailing_nul():
 
 
 def test_ranking_builds_entries_from_columns():
-    entries = [RankEntry("a", 2.0, PROV_FRONTIER, "z"), RankEntry("b", 1)]
-    r = Ranking("q", ["a", "b"], [2.0, 1], [PROV_FRONTIER, PROV_INITIAL], ["z", None])
+    entries = [RankEntry("a", 2.0, "z"), RankEntry("b", 1)]
+    r = Ranking("q", ["a", "b"], [2.0, 1], sources=["z", None])
     assert list(r) == entries
     assert r[-1] == RankEntry("b", 1.0)
     assert r[:1] == (entries[0],)
@@ -96,15 +97,28 @@ def test_ranking_builds_entries_from_columns():
 
 
 def test_ranking_rejects_columns_of_unequal_length():
-    for columns in [
-        (["a", "b"], [1.0]),
-        (["a"], [1.0, 0.5]),
-        (["a"], [[1.0]]),
-        (["a", "b"], [2.0, 1.0], [PROV_INITIAL]),
-        (["a", "b"], [2.0, 1.0], None, [None, None, None]),
+    for docids, scores, sources in [
+        (["a", "b"], [1.0], None),
+        (["a"], [1.0, 0.5], None),
+        (["a"], [[1.0]], None),
+        (["a", "b"], [2.0, 1.0], [None]),
+        (["a", "b"], [2.0, 1.0], [None, None, None]),
     ]:
         with pytest.raises(ValueError, match="ranking columns for query 'q9' differ in length"):
-            Ranking("q9", *columns)
+            Ranking("q9", docids, scores, sources=sources)
+
+
+def test_ranking_provenance_follows_from_source():
+    r = Ranking("q", ["a", "b", "c"], [3.0, 2.0, 1.0], sources=[None, "a", "NA"])
+    assert r.provenances() == (PROV_INITIAL, PROV_FRONTIER, PROV_FRONTIER)
+    assert [(e.provenance, e.source) for e in r] == [(PROV_INITIAL, None), (PROV_FRONTIER, "a"), (PROV_FRONTIER, "NA")]
+    assert r[1].provenance == PROV_FRONTIER
+    assert [provenance_of(source) for source in (None, "", "NA", "d0")] == [PROV_INITIAL] + [PROV_FRONTIER] * 3
+    # a call written for a separate provenance column fails instead of reading it as sources
+    with pytest.raises(TypeError):
+        Ranking("q", ["a"], [1.0], [PROV_FRONTIER], [None])
+    with pytest.raises(TypeError):
+        Ranking("q", ["a"], [1.0], [None])
 
 
 def test_ranking_copies_the_caller_scores():
