@@ -18,7 +18,10 @@ from . import evaluate as eval_mod
 from . import formats
 from . import sweep as sweep_mod
 from .graph import DEFAULT_K, CorpusGraph, build_graph, graph_file_size
-from .lexical import Bm25Params, DenseVectors, InvertedIndex, bm25_doc_scores, bm25_doc_topk, bm25_retrieve, dense_topk, index_corpus
+from .lexical import Bm25Params, DenseVectors, InvertedIndex, bm25_doc_scores, bm25_doc_topk, bm25_retrieve, build_dense_graph, index_corpus
+# dense_topk is the dense build's per-row rule; perfbench's traced pass wraps
+# it by its name in this module
+from .lexical import dense_topk  # noqa: F401
 from .ranking import Ranking
 from .rerank import Bm25Scorer, OracleScorer, ReRankConfig, ScoreCache, Scorer, rerank_run
 
@@ -81,15 +84,11 @@ def cmd_build_graph(args: argparse.Namespace) -> int:
     if args.method == "bm25":
         index = _load_index(args)
         params = _bm25_params(args)
-        docmap = index.docmap
-        provider = lambda doc, count: bm25_doc_topk(index, params, doc, count)
+        graph = build_graph(index.docmap, lambda doc, count: bm25_doc_topk(index, params, doc, count), args.k)
     else:
         if not args.vectors:
             raise ValueError("method dense needs --vectors")
-        vectors = DenseVectors.load(args.vectors)
-        docmap = vectors.docmap
-        provider = lambda doc, count: dense_topk(vectors, doc, count)
-    graph = build_graph(docmap, provider, args.k)
+        graph = build_dense_graph(DenseVectors.load(args.vectors), args.k)
     graph.save(args.out)
     size = graph_file_size(graph.n_docs, graph.k)
     print(f"built graph: {graph.n_docs} docs, k={graph.k}, {size} bytes -> {args.out}")

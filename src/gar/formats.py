@@ -7,6 +7,8 @@ invocations produce byte-identical files.
 from __future__ import annotations
 
 import math
+import numbers
+import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -19,6 +21,18 @@ from .evaluate import MetricValues, N_LABELS
 from .ranking import PROV_FRONTIER, PROV_INITIAL, Ranking, provenance_of
 
 _NA = "NA"
+
+# what ends a line of a text file read back with universal newlines, as every
+# reader here does
+_LINE_BREAK = re.compile("[\n\r]")
+# what ends a tab-separated field other than a line's last
+_FIELD_BREAK = re.compile("[\t\n\r]")
+
+
+def _is_token(value: str) -> bool:
+    """Whether `value` is one non-empty field that `str.split` keeps whole,
+    as every whitespace-separated file here needs its ids to be."""
+    return value.split() == [value]
 
 
 def _lines(path: str | Path) -> Iterable[tuple[int, str]]:
@@ -43,6 +57,15 @@ def read_corpus(path: str | Path) -> list[tuple[str, str]]:
 
 
 def write_corpus(path: str | Path, docs: Iterable[tuple[str, str]]) -> None:
+    """Write docs in the given order. A docid may hold no tab or line break,
+    and a text no line break, as `read_corpus` would split either; nothing
+    is written otherwise."""
+    docs = list(docs)
+    for docid, text in docs:
+        if _FIELD_BREAK.search(docid):
+            raise ValueError(f"{path}: docid {docid!r} holds a tab or a line break")
+        if _LINE_BREAK.search(text):
+            raise ValueError(f"{path}: text of doc {docid!r} holds a line break")
     with open(path, "w", encoding="utf-8") as fh:
         for docid, text in docs:
             fh.write(f"{docid}\t{text}\n")
@@ -54,7 +77,7 @@ def read_queries(path: str | Path) -> dict[str, str]:
         if "\t" not in line:
             raise ValueError(f"{path}: line {lineno}: expected qid<TAB>text")
         qid, text = line.split("\t", 1)
-        if qid.split() != [qid]:
+        if not _is_token(qid):
             raise ValueError(f"{path}: line {lineno}: query id {qid!r} is empty or holds whitespace")
         if qid in queries:
             raise ValueError(f"{path}: line {lineno}: duplicate query id {qid!r}")
@@ -63,6 +86,14 @@ def read_queries(path: str | Path) -> dict[str, str]:
 
 
 def write_queries(path: str | Path, queries: Mapping[str, str]) -> None:
+    """Write queries in qid order. Each qid must be a token and no text may
+    hold a line break, as `read_queries` requires; nothing is written
+    otherwise."""
+    for qid, text in queries.items():
+        if not _is_token(qid):
+            raise ValueError(f"{path}: query id {qid!r} is empty or holds whitespace")
+        if _LINE_BREAK.search(text):
+            raise ValueError(f"{path}: text of query {qid!r} holds a line break")
     with open(path, "w", encoding="utf-8") as fh:
         for qid in sorted(queries):
             fh.write(f"{qid}\t{queries[qid]}\n")
@@ -92,10 +123,25 @@ def read_qrels(path: str | Path) -> dict[str, dict[str, int]]:
 
 
 def write_qrels(path: str | Path, qrels: Mapping[str, Mapping[str, int]]) -> None:
+    """Write judgments in qid then docid order; a query without judgments
+    writes no line. Every qid and docid must be a token and every label an
+    integer in 0..N_LABELS-1, as `read_qrels` requires; nothing is written
+    otherwise."""
+    lines = []
+    for qid in sorted(qrels):
+        if not _is_token(qid):
+            raise ValueError(f"{path}: query id {qid!r} is empty or holds whitespace")
+        for docid in sorted(qrels[qid]):
+            if not _is_token(docid):
+                raise ValueError(f"{path}: docid {docid!r} for query {qid!r} is empty or holds whitespace")
+            label = qrels[qid][docid]
+            if not (isinstance(label, numbers.Integral) and 0 <= label < N_LABELS):
+                raise ValueError(
+                    f"{path}: label {label!r} for query {qid!r} doc {docid!r} is not an integer in 0..{N_LABELS - 1}"
+                )
+            lines.append(f"{qid} 0 {docid} {int(label)}\n")
     with open(path, "w", encoding="utf-8") as fh:
-        for qid in sorted(qrels):
-            for docid in sorted(qrels[qid]):
-                fh.write(f"{qid} 0 {docid} {qrels[qid][docid]}\n")
+        fh.writelines(lines)
 
 
 # --- TREC runs: qid Q0 docid rank score tag ---------------------------------
@@ -192,17 +238,17 @@ def write_run(path: str | Path, rankings: Mapping[str, Ranking], tag: str = "gar
     """Write rankings in qid order. Scores must be finite, and the tag, every
     qid and every docid one whitespace-free token, as `read_run` requires;
     nothing is written otherwise."""
-    if tag.split() != [tag]:
+    if not _is_token(tag):
         raise ValueError(f"{path}: tag {tag!r} is empty or holds whitespace")
     columns = {}
     for qid in sorted(rankings):
         docids, scores = rankings[qid].docids(), rankings[qid].scores()
-        if qid.split() != [qid]:
+        if not _is_token(qid):
             raise ValueError(f"{path}: query id {qid!r} is empty or holds whitespace")
         # whitespace in any docid splits the joined docids apart
         joined = "".join(docids)
         if "" in docids or (joined and joined.split() != [joined]):
-            docid = next(docid for docid in docids if docid.split() != [docid])
+            docid = next(docid for docid in docids if not _is_token(docid))
             raise ValueError(f"{path}: docid {docid!r} for query {qid!r} is empty or holds whitespace")
         bad = np.flatnonzero(~np.isfinite(scores))
         if len(bad):

@@ -18,12 +18,15 @@ from pathlib import Path
 import numpy as np
 
 from .docmap import DocMap
-from .graph import _read_table, _write_table
+from .graph import SENTINEL, CorpusGraph, _read_table, _write_table
 from .ranking import Ranking
 
 _TOKEN_RE = re.compile(r"[^\W_]+")
 
 VEC_MAGIC = b"GARV"
+
+# bytes of float64 cosines per row block of a dense graph build
+_DENSE_BLOCK_BYTES = 1 << 21
 
 
 def tokenize(text: str) -> list[str]:
@@ -341,7 +344,7 @@ def bm25_doc_topk(
 class DenseVectors:
     """Row-major float32 embedding matrix, L2-normalized at construction."""
 
-    __slots__ = ("_matrix", "_docmap", "_matrix64")
+    __slots__ = ("_matrix", "_docmap")
 
     def __init__(self, matrix: np.ndarray, docmap: DocMap):
         matrix = np.asarray(matrix, dtype=np.float64)
@@ -366,7 +369,6 @@ class DenseVectors:
         normalized.setflags(write=False)
         self._matrix = normalized
         self._docmap = docmap
-        self._matrix64: np.ndarray | None = None
 
     @property
     def n_docs(self) -> int:
@@ -387,15 +389,9 @@ class DenseVectors:
     def row(self, doc: int) -> np.ndarray:
         return self._matrix[doc]
 
-    def _as_float64(self) -> np.ndarray:
-        if self._matrix64 is None:
-            self._matrix64 = self._matrix.astype(np.float64)
-        return self._matrix64
-
     def similarities(self, doc: int) -> np.ndarray:
         """Cosine similarity of every row against row `doc`, clipped to [-1, 1]."""
-        m64 = self._as_float64()
-        return np.clip(m64 @ m64[doc], -1.0, 1.0)
+        return _cosines(self._matrix.astype(np.float64), doc)
 
     def similarity(self, a: int, b: int) -> float:
         """Cosine similarity of rows `a` and `b` in float64, clipped to [-1, 1]."""
@@ -412,6 +408,21 @@ class DenseVectors:
         return cls(*_read_table(Path(path), VEC_MAGIC, "<f4", "vector"))
 
 
+def _cosines(m64: np.ndarray, doc: int) -> np.ndarray:
+    """The one per-row cosine rule: row `doc` of the float64 rows `m64` against
+    every row, clipped to [-1, 1]."""
+    return np.clip(m64 @ m64[doc], -1.0, 1.0)
+
+
+def _dense_row(m64: np.ndarray, doc: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ids and cosines of the `count` rows of `m64` nearest row `doc`, by
+    (cosine desc, id asc), excluding `doc` itself."""
+    sims = _cosines(m64, doc)
+    # cosines lie in [-1, 1], so only the doc itself is at the -inf floor
+    sims[doc] = -np.inf
+    return _top(sims, count, floor=-np.inf)
+
+
 def dense_topk(vectors: DenseVectors, doc: int, k_plus: int) -> list[tuple[int, float]]:
     """Top k_plus docs by cosine similarity to `doc`, excluding `doc` itself.
 
@@ -419,7 +430,55 @@ def dense_topk(vectors: DenseVectors, doc: int, k_plus: int) -> list[tuple[int, 
     """
     if not 0 <= doc < vectors.n_docs:
         raise IndexError(f"internal id out of range: {doc}")
-    sims = vectors.similarities(doc)
-    # cosines lie in [-1, 1], so only the doc itself is at the -inf floor
-    sims[doc] = -np.inf
-    return _top_pairs(sims, k_plus, floor=-np.inf)
+    ids, values = _dense_row(vectors.matrix.astype(np.float64), doc, k_plus)
+    return list(zip(ids.tolist(), values.tolist()))
+
+
+def build_dense_graph(vectors: DenseVectors, k: int) -> CorpusGraph:
+    """The k-NN graph whose rows are `dense_topk(vectors, doc, k)`'s ids.
+
+    Cosines are computed a block of rows at a time, one matrix product per
+    block of at most _DENSE_BLOCK_BYTES of cosines (or one row, if a row
+    alone is larger), and each row's k + 1 best are taken at once. A block
+    product may round a cosine differently from the per-row product, so a
+    row is kept only when every adjacent gap among those k + 1 (or among all
+    the other docs, if fewer) exceeds the rounding margin, which fixes the
+    row's ids and order under both products. Every other row is recomputed
+    with the per-row rule.
+    """
+    if k <= 0:
+        raise ValueError(f"k must be positive, got {k}")
+    n_docs = vectors.n_docs
+    m64 = vectors.matrix.astype(np.float64)
+    # A product of two float32 entries is exact in float64, so a cosine is
+    # rounded only while its dim products are summed. In any summation order,
+    # a BLAS kernel's included, the sum lies within
+    # (dim - 1) * u / (1 - (dim - 1) * u) * sum|a_i * b_i| of the exact dot
+    # product, where u = 2**-53, and sum|a_i * b_i| <= |a| * |b|
+    # <= (1 + 2**-23)**2 for float32-rounded unit rows. So the block cosine
+    # and the per-row cosine each lie within e < dim * u of the exact value,
+    # and clipping to [-1, 1] moves no two values further apart. Block cosines
+    # more than 4e apart thus keep their order, strictly, in the per-row
+    # products; this margin leaves a factor of two over that.
+    margin = 8 * vectors.dim * 2.0**-53
+    edges = np.full((n_docs, k), SENTINEL, dtype=np.uint32)
+    # the k best other docs and the one after the cut, or every other doc; a
+    # lone doc has none, and no block is computed
+    width = min(k + 1, n_docs - 1)
+    block_rows = max(1, _DENSE_BLOCK_BYTES // (8 * n_docs))
+    for start in range(0, n_docs if width else 0, block_rows):
+        block = m64[start : start + block_rows] @ m64.T
+        np.clip(block, -1.0, 1.0, out=block)
+        rows = np.arange(len(block))
+        block[rows, start + rows] = -np.inf
+        best = np.argpartition(block, n_docs - width, axis=1)[:, n_docs - width :]
+        values = np.take_along_axis(block, best, axis=1)
+        order = np.lexsort((best, -values))
+        best = np.take_along_axis(best, order, axis=1)
+        values = np.take_along_axis(values, order, axis=1)
+        sure = (values[:, :-1] - values[:, 1:] > margin).all(axis=1)
+        edges[start : start + len(block)][sure, : min(k, width)] = best[sure, :k]
+        for doc in (start + np.flatnonzero(~sure)).tolist():
+            ids, _ = _dense_row(m64, doc, k)
+            edges[doc, : len(ids)] = ids
+    return CorpusGraph(edges, vectors.docmap)

@@ -19,7 +19,7 @@ from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .formats import _lines
+from .formats import _FIELD_BREAK, _lines
 from .graph import SENTINEL, CorpusGraph
 from .lexical import Bm25Params, InvertedIndex, bm25_scores, tokenize
 from .ranking import Ranking
@@ -87,6 +87,16 @@ class ScoreCache:
         return [self.lookup(qid, docid) for docid in docids]
 
     def save(self, path: str | Path) -> None:
+        """Write the table in (qid, docid) order. No qid or docid may hold a
+        tab or a line break, and every score must be finite, as `load`
+        requires; nothing is written otherwise."""
+        for (qid, docid), score in self._scores.items():
+            if _FIELD_BREAK.search(qid):
+                raise ValueError(f"{path}: query id {qid!r} holds a tab or a line break")
+            if _FIELD_BREAK.search(docid):
+                raise ValueError(f"{path}: docid {docid!r} for query {qid!r} holds a tab or a line break")
+            if not math.isfinite(score):
+                raise ValueError(f"{path}: non-finite score {score!r} for query {qid!r} doc {docid!r}")
         with open(path, "w", encoding="utf-8") as fh:
             for (qid, docid) in sorted(self._scores):
                 fh.write(f"{qid}\t{docid}\t{self._scores[(qid, docid)]!r}\n")

@@ -5,13 +5,36 @@ from __future__ import annotations
 import hashlib
 import random
 import struct
+import tempfile
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from pathlib import Path
+from typing import Any, Callable, Sequence
 
 import numpy as np
+from hypothesis import strategies as st
 
 from gar import SENTINEL, CorpusGraph, DocMap, Ranking, docmap_path
+
+
+# --- text-format round trips ------------------------------------------------
+
+# short strings rich in what the text formats split on: tab, space, line
+# breaks, and characters only str.split or str.splitlines treats as breaks
+AWKWARD_TEXT = st.text(st.sampled_from("ab \t\n\r\x0b\x1c\x85\xa0\u2028") | st.characters(), max_size=4)
+
+
+def written_then_read(write: Callable[[Path, Any], None], read: Callable[[Path], Any], value: Any) -> Any:
+    """What `read` gives back from the file `write` makes of `value`, or None
+    where `write` refuses it with ValueError, having created no file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "file"
+        try:
+            write(path, value)
+        except ValueError:
+            assert not path.exists()
+            return None
+        return read(path)
 
 
 # --- scorer stubs -----------------------------------------------------------

@@ -44,6 +44,7 @@ from gar import (
     write_sweep_table,
     write_trace,
 )
+from gar.lexical import build_dense_graph
 from oracles import (
     bm25_all_scores,
     closure,
@@ -229,18 +230,18 @@ def test_criterion_04_graph_builder_matches_brute_force(capsys):
         dense_graph = build_graph(
             vectors.docmap, lambda d, c: dense_topk(vectors, d, c), k
         )
+        block_graph = build_dense_graph(vectors, k)
         m64 = vectors.matrix.astype(np.float64)
         for doc in range(size):
             sims = np.clip(m64 @ m64[doc], -1.0, 1.0).tolist()
             want = knn_row(sims, doc, k, positive_only=False)
-            rows_checked += 1
-            if dense_graph.edges[doc].tolist() != want:
-                bad += 1
+            rows_checked += 2
+            bad += (dense_graph.edges[doc].tolist() != want) + (block_graph.edges[doc].tolist() != want)
     _verdict(
         capsys,
         4,
         bad == 0,
-        f"{rows_checked} edge rows over {len(sizes)} corpora x 2 providers, "
+        f"{rows_checked} edge rows over {len(sizes)} corpora x 3 builds, "
         f"{rows_checked - bad} exact matches against brute force",
         started,
     )

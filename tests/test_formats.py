@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gar import (
@@ -28,6 +28,15 @@ from gar import (
 from gar import formats
 from gar.formats import _read_run_columns
 from oracles import reference_read_run, reference_run_text, reference_trace_text
+from synthdata import AWKWARD_TEXT, written_then_read
+
+
+def is_token(value: str) -> bool:
+    return value.split() == [value]
+
+
+def breaks_line(value: str) -> bool:
+    return "\n" in value or "\r" in value
 
 
 # --- corpus ------------------------------------------------------------------
@@ -38,6 +47,15 @@ def test_corpus_round_trip(tmp_path):
     path = tmp_path / "corpus.tsv"
     write_corpus(path, docs)
     assert read_corpus(path) == docs
+
+
+@given(st.lists(st.tuples(AWKWARD_TEXT, AWKWARD_TEXT), max_size=4))
+@example([("d\t1", "x")])
+def test_corpus_written_or_refused(docs):
+    got = written_then_read(write_corpus, read_corpus, docs)
+    # a tab in a docid would move the rest of it into the text
+    refused = any("\t" in docid or breaks_line(docid) or breaks_line(text) for docid, text in docs)
+    assert got == (None if refused else docs)
 
 
 def test_corpus_skips_blank_lines(tmp_path):
@@ -65,6 +83,14 @@ def test_queries_round_trip(tmp_path):
     assert path.read_text().splitlines()[0].startswith("q1\t")
 
 
+@given(st.dictionaries(AWKWARD_TEXT, AWKWARD_TEXT, max_size=4))
+@example({"q 1": "x"})
+def test_queries_written_or_refused(queries):
+    got = written_then_read(write_queries, read_queries, queries)
+    refused = any(not is_token(qid) or breaks_line(text) for qid, text in queries.items())
+    assert got == (None if refused else queries)
+
+
 def test_queries_duplicate_qid(tmp_path):
     path = tmp_path / "queries.tsv"
     path.write_text("q1\ta\nq1\tb\n")
@@ -89,6 +115,44 @@ def test_qrels_round_trip(tmp_path):
     write_qrels(path, qrels)
     assert path.read_text() == "q1 0 a 3\nq1 0 b 0\nq2 0 c 2\n"
     assert read_qrels(path) == qrels
+
+
+LABELS = st.integers(-1, 4) | st.booleans() | st.floats(0, 3) | st.builds(np.int64, st.integers(0, 3))
+
+
+@given(st.dictionaries(AWKWARD_TEXT, st.dictionaries(AWKWARD_TEXT, LABELS, max_size=3), max_size=3))
+@example({"q": {"d 1": 1}})
+@example({"q": {"d": 7}})
+def test_qrels_written_or_refused(qrels):
+    got = written_then_read(write_qrels, read_qrels, qrels)
+    refused = not all(map(is_token, qrels)) or any(
+        not is_token(docid) or isinstance(label, float) or not 0 <= label <= 3
+        for judged in qrels.values()
+        for docid, label in judged.items()
+    )
+    # a query without judgments writes no line
+    assert got == (None if refused else {qid: judged for qid, judged in qrels.items() if judged})
+
+
+@pytest.mark.parametrize(
+    "write, value, message",
+    [
+        (write_corpus, [("d\t1", "x")], "docid 'd\\t1' holds a tab or a line break"),
+        (write_corpus, [("d", "x\ry")], "text of doc 'd' holds a line break"),
+        (write_queries, {"q 1": "x"}, "query id 'q 1' is empty or holds whitespace"),
+        (write_queries, {"q": "x\ny"}, "text of query 'q' holds a line break"),
+        (write_qrels, {"": {"d": 1}}, "query id '' is empty or holds whitespace"),
+        (write_qrels, {"q": {"d 1": 1}}, "docid 'd 1' for query 'q' is empty or holds whitespace"),
+        (write_qrels, {"q": {"d": 7}}, "label 7 for query 'q' doc 'd' is not an integer in 0..3"),
+        (write_qrels, {"q": {"d": 1.0}}, "label 1.0 for query 'q' doc 'd' is not an integer in 0..3"),
+    ],
+    ids=["corpus-docid", "corpus-text", "queries-qid", "queries-text", "qrels-qid", "qrels-docid", "qrels-label", "qrels-float-label"],
+)
+def test_writers_name_what_they_refuse(tmp_path, write, value, message):
+    path = tmp_path / "out.txt"
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        write(path, value)
+    assert not path.exists()
 
 
 def test_qrels_errors(tmp_path):

@@ -3,10 +3,11 @@ from __future__ import annotations
 import math
 import random
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gar import (
@@ -22,7 +23,8 @@ from gar import (
     index_corpus,
     tokenize,
 )
-from gar.lexical import bm25_scores
+from gar import lexical
+from gar.lexical import bm25_scores, build_dense_graph
 from oracles import bm25_all_scores, knn_row, reference_tokenize
 from synthdata import random_corpus, write_garv
 
@@ -455,6 +457,51 @@ def test_dense_rows_match_reference_at_ties(drawn):
             assert [s for _, s in got] == [sims[doc][d] for d, _ in got]
         graph = build_graph(vectors.docmap, lambda d, c: dense_topk(vectors, d, c), k)
         assert graph.edges.tolist() == want
+        assert build_dense_graph(vectors, k).edges.tolist() == want
+
+
+@settings(max_examples=200)
+@given(
+    st.tuples(st.integers(3, 70), st.integers(2, 40), st.integers(1, 7)).flatmap(
+        lambda shape: st.tuples(
+            st.lists(
+                st.lists(st.integers(-2, 2), min_size=shape[0], max_size=shape[0]),
+                min_size=1,
+                max_size=max(1, shape[1] // 3),
+            ),
+            st.lists(st.integers(0, shape[1]), min_size=shape[1], max_size=shape[1]),
+            st.just(shape[2]),
+        )
+    )
+)
+# nine copies of one row: the per-row products tie all nine cosines, but on an
+# x86-64 OpenBLAS a two-row block product rounds the ninth copy's cosine a
+# unit in the last place above the other eight, which only the rounding
+# margin sends to the per-row rule
+@example(([[0, 1, 1, 1] + [0] * 10 + [1] * 28 + [2] * 24], [0] * 9, 2))
+def test_dense_graph_rows_match_dense_topk_at_ties(drawn):
+    # few distinct small-integer rows, most docs a copy of one: above dim 2 a
+    # block product and the per-row product round equal cosines apart, so
+    # only the near-tie fallback keeps the block build on dense_topk's rows
+    rows, copy_of, block_rows = drawn
+    rows = [row if any(row) else [1] * len(row) for row in rows]
+    matrix = np.array([rows[i % len(rows)] for i in copy_of], dtype=np.float64)
+    n = len(matrix)
+    vectors = DenseVectors(matrix, DocMap([f"v{i}" for i in range(n)]))
+    with mock.patch.object(lexical, "_DENSE_BLOCK_BYTES", 8 * n * block_rows):
+        for k in sorted({1, 2, 5, n - 2, n - 1, n} - {0, -1}):
+            want = [[d for d, _ in dense_topk(vectors, doc, k)] for doc in range(n)]
+            padded = [row + [SENTINEL_ID] * (k - len(row)) for row in want]
+            assert build_dense_graph(vectors, k).edges.tolist() == padded
+
+
+def test_dense_graph_edge_cases():
+    vectors = unit_square_vectors()
+    assert build_dense_graph(vectors, 2).edges.tolist() == [[3, 2], [2, 0], [0, 1], [0, 2]]
+    single = DenseVectors(np.ones((1, 3)), DocMap(["a"]))
+    assert build_dense_graph(single, 4).edges.tolist() == [[SENTINEL_ID] * 4]
+    with pytest.raises(ValueError, match="k must be positive"):
+        build_dense_graph(vectors, 0)
 
 
 def test_dense_topk_bad_doc():

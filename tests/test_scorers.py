@@ -4,12 +4,15 @@ import json
 import math
 import os
 import random
+import re
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import gar
 from gar import (
@@ -22,7 +25,7 @@ from gar import (
 )
 from gar.lexical import bm25_scores
 from oracles import reference_noise
-from synthdata import HashScorer
+from synthdata import AWKWARD_TEXT, HashScorer, written_then_read
 
 
 # --- ScoreCache --------------------------------------------------------------
@@ -55,6 +58,35 @@ def test_cache_round_trip_is_float_exact(tmp_path):
     loaded = ScoreCache.load(path)
     for (qid, docid), score in awkward.items():
         assert loaded.lookup(qid, docid) == score
+
+
+@given(st.dictionaries(st.tuples(AWKWARD_TEXT, AWKWARD_TEXT), st.floats(), max_size=4))
+@example({("q", "d\t1"): 1.0})
+@example({("q", "d"): math.nan})
+def test_cache_written_or_refused(scores):
+    got = written_then_read(lambda path, cache: cache.save(path), ScoreCache.load, ScoreCache(scores))
+    refused = any(
+        any(c in qid + docid for c in "\t\n\r") or not math.isfinite(score) for (qid, docid), score in scores.items()
+    )
+    assert (got is None) == refused
+    if got is not None:
+        assert len(got) == len(scores) and all(got.lookup(*key) == score for key, score in scores.items())
+
+
+@pytest.mark.parametrize(
+    "key, score, message",
+    [
+        (("q\n", "d"), 1.0, "query id 'q\\n' holds a tab or a line break"),
+        (("q", "d\t1"), 1.0, "docid 'd\\t1' for query 'q' holds a tab or a line break"),
+        (("q", "d"), math.inf, "non-finite score inf for query 'q' doc 'd'"),
+    ],
+    ids=["qid", "docid", "score"],
+)
+def test_cache_save_names_what_it_refuses(tmp_path, key, score, message):
+    path = tmp_path / "cache.tsv"
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        ScoreCache({key: score}).save(path)
+    assert not path.exists()
 
 
 def test_cache_save_is_sorted_and_stable(tmp_path):
