@@ -9,6 +9,11 @@ from typing import Iterable, Iterator, Sequence
 # padding sentinel in edge tables, so a docmap may hold at most 2**32 - 1 docs.
 MAX_DOCS = 0xFFFFFFFF
 
+# ids joined per whitespace check, and characters of a sidecar split at a
+# time; each bounds the text held at once
+_CHECK_BLOCK_IDS = 1 << 16
+_LOAD_BLOCK_CHARS = 1 << 20
+
 
 class DocMap:
     """Ordered set of external docids, addressed by position.
@@ -25,15 +30,9 @@ class DocMap:
             raise ValueError("docmap is empty")
         if len(ids) >= MAX_DOCS:
             raise ValueError(f"too many docs for a 32-bit docmap: {len(ids)}")
-        index: dict[str, int] = {}
-        for pos, docid in enumerate(ids):
-            if not docid:
-                raise ValueError(f"empty docid at position {pos}")
-            if docid.split() != [docid]:
-                raise ValueError(f"docid contains whitespace: {docid!r}")
-            if docid in index:
-                raise ValueError(f"duplicate docid: {docid!r}")
-            index[docid] = pos
+        index = dict(zip(ids, range(len(ids))))
+        if not (len(index) == len(ids) and "" not in index and _all_tokens(ids)):
+            index = _checked_index(ids)
         self._ids = ids
         self._index = index
 
@@ -85,8 +84,42 @@ class DocMap:
 
     @classmethod
     def load(cls, path: str | Path) -> "DocMap":
+        """Read a sidecar, one docid per line, with universal newlines; one
+        trailing empty line is dropped, as `save` writes none."""
+        ids: list[str] = []
+        rest = ""
         with open(path, "r", encoding="utf-8") as fh:
-            ids = [line.rstrip("\n") for line in fh]
+            while chunk := fh.read(_LOAD_BLOCK_CHARS):
+                lines = (rest + chunk).split("\n")
+                rest = lines.pop()
+                ids.extend(lines)
+        if rest:  # a last line without a newline
+            ids.append(rest)
         if ids and ids[-1] == "":
             ids.pop()
         return cls(ids)
+
+
+def _all_tokens(ids: Sequence[str]) -> bool:
+    """Whether no id holds whitespace, by `str.split` on the ids joined a
+    block at a time."""
+    for start in range(0, len(ids), _CHECK_BLOCK_IDS):
+        joined = "".join(ids[start : start + _CHECK_BLOCK_IDS])
+        if joined.split() != [joined]:
+            return False
+    return True
+
+
+def _checked_index(ids: Sequence[str]) -> dict[str, int]:
+    """docid -> position, raising on the first empty, whitespace-holding or
+    repeated docid."""
+    index: dict[str, int] = {}
+    for pos, docid in enumerate(ids):
+        if not docid:
+            raise ValueError(f"empty docid at position {pos}")
+        if docid.split() != [docid]:
+            raise ValueError(f"docid contains whitespace: {docid!r}")
+        if docid in index:
+            raise ValueError(f"duplicate docid: {docid!r}")
+        index[docid] = pos
+    return index

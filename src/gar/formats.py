@@ -1,4 +1,5 @@
-"""Text file formats: corpora, queries, qrels, runs, traces, metric reports.
+"""Text file formats: corpora, queries, qrels, runs, score caches, traces,
+metric reports.
 
 Writers are deterministic (sorted qids, fixed float formatting) so repeat
 invocations produce byte-identical files.
@@ -273,6 +274,49 @@ def _write_rows(fh: TextIO, sep: str, columns: Sequence[Iterable[str]]) -> None:
     text = "\n".join(map(sep.join, zip(*columns)))
     if text:
         fh.write(text + "\n")
+
+
+# --- score cache: qid<TAB>docid<TAB>score ----------------------------------
+
+
+def read_score_table(path: str | Path) -> dict[tuple[str, str], float]:
+    scores: dict[tuple[str, str], float] = {}
+    for lineno, line in _lines(path):
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ValueError(f"{path}: line {lineno}: expected qid<TAB>docid<TAB>score")
+        qid, docid, raw = parts
+        try:
+            score = float(raw)
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: bad score {raw!r}") from None
+        if not math.isfinite(score):
+            raise ValueError(
+                f"{path}: line {lineno}: non-finite score {raw!r} for query {qid!r} doc {docid!r}"
+            )
+        key = (qid, docid)
+        if key in scores and scores[key] != score:
+            raise ValueError(
+                f"{path}: line {lineno}: conflicting scores for query {qid!r} doc {docid!r}"
+            )
+        scores[key] = score
+    return scores
+
+
+def write_score_table(path: str | Path, scores: Mapping[tuple[str, str], float]) -> None:
+    """Write the table in (qid, docid) order, each score as its repr. No qid
+    or docid may hold a tab or a line break, and every score must be finite,
+    as `read_score_table` requires; nothing is written otherwise."""
+    for (qid, docid), score in scores.items():
+        if _FIELD_BREAK.search(qid):
+            raise ValueError(f"{path}: query id {qid!r} holds a tab or a line break")
+        if _FIELD_BREAK.search(docid):
+            raise ValueError(f"{path}: docid {docid!r} for query {qid!r} holds a tab or a line break")
+        if not math.isfinite(score):
+            raise ValueError(f"{path}: non-finite score {score!r} for query {qid!r} doc {docid!r}")
+    with open(path, "w", encoding="utf-8") as fh:
+        for (qid, docid) in sorted(scores):
+            fh.write(f"{qid}\t{docid}\t{scores[(qid, docid)]!r}\n")
 
 
 # --- provenance trace --------------------------------------------------------

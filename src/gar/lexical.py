@@ -22,6 +22,11 @@ from .graph import SENTINEL, CorpusGraph, _read_table, _write_table
 from .ranking import Ranking
 
 _TOKEN_RE = re.compile(r"[^\W_]+")
+# _TOKEN_RE on ASCII text as one byte table: A-Z lowered, a-z and 0-9 kept,
+# every other byte a space
+_ASCII_TOKEN_BYTES = bytes(
+    ord(ch.lower()) if ch.isascii() and ch.isalnum() else 32 for ch in map(chr, range(256))
+)
 
 VEC_MAGIC = b"GARV"
 
@@ -30,7 +35,12 @@ _DENSE_BLOCK_BYTES = 1 << 21
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split on every non-alphanumeric codepoint."""
+    """Lowercase and split on every non-alphanumeric codepoint.
+
+    ASCII text takes the byte table, which gives the same tokens.
+    """
+    if text.isascii():
+        return text.encode("ascii").translate(_ASCII_TOKEN_BYTES).decode("ascii").split()
     return _TOKEN_RE.findall(text.lower())
 
 
@@ -216,7 +226,7 @@ def index_corpus(corpus: Iterable[tuple[str, str]]) -> InvertedIndex:
     ends: list[int] = []
     for docid, text in corpus:
         docids.append(docid)
-        tokens.extend(map(number, tokenize(text)))
+        tokens.fromlist(list(map(number, tokenize(text))))
         ends.append(len(tokens))
     if not docids:
         raise ValueError("corpus is empty")

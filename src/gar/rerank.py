@@ -19,7 +19,7 @@ from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .formats import _FIELD_BREAK, _lines
+from .formats import read_score_table, write_score_table
 from .graph import SENTINEL, CorpusGraph
 from .lexical import Bm25Params, InvertedIndex, bm25_scores, tokenize
 from .ranking import Ranking
@@ -87,43 +87,12 @@ class ScoreCache:
         return [self.lookup(qid, docid) for docid in docids]
 
     def save(self, path: str | Path) -> None:
-        """Write the table in (qid, docid) order. No qid or docid may hold a
-        tab or a line break, and every score must be finite, as `load`
-        requires; nothing is written otherwise."""
-        for (qid, docid), score in self._scores.items():
-            if _FIELD_BREAK.search(qid):
-                raise ValueError(f"{path}: query id {qid!r} holds a tab or a line break")
-            if _FIELD_BREAK.search(docid):
-                raise ValueError(f"{path}: docid {docid!r} for query {qid!r} holds a tab or a line break")
-            if not math.isfinite(score):
-                raise ValueError(f"{path}: non-finite score {score!r} for query {qid!r} doc {docid!r}")
-        with open(path, "w", encoding="utf-8") as fh:
-            for (qid, docid) in sorted(self._scores):
-                fh.write(f"{qid}\t{docid}\t{self._scores[(qid, docid)]!r}\n")
+        """Write the table as `write_score_table` does."""
+        write_score_table(path, self._scores)
 
     @classmethod
     def load(cls, path: str | Path) -> "ScoreCache":
-        scores: dict[tuple[str, str], float] = {}
-        for lineno, line in _lines(path):
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{path}: line {lineno}: expected qid<TAB>docid<TAB>score")
-            qid, docid, raw = parts
-            try:
-                score = float(raw)
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: bad score {raw!r}") from None
-            if not math.isfinite(score):
-                raise ValueError(
-                    f"{path}: line {lineno}: non-finite score {raw!r} for query {qid!r} doc {docid!r}"
-                )
-            key = (qid, docid)
-            if key in scores and scores[key] != score:
-                raise ValueError(
-                    f"{path}: line {lineno}: conflicting scores for query {qid!r} doc {docid!r}"
-                )
-            scores[key] = score
-        return cls(scores)
+        return cls(read_score_table(path))
 
 
 class OracleScorer:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 from collections import Counter
 from typing import Callable
 
@@ -31,6 +32,51 @@ def reference_tokenize(text: str) -> list[str]:
     if current:
         tokens.append("".join(current))
     return tokens
+
+
+def reference_index(
+    corpus: list[tuple[str, str]],
+) -> tuple[list[str], list[int], list[dict[str, int]], dict[str, list[tuple[int, int]]]]:
+    """An inverted index built from `[^\\W_]+` regex tokens of the lowered
+    text: the sorted vocab, the doc lengths, each doc's term -> tf, and each
+    term's (doc, tf) postings in ascending doc order."""
+    doc_tfs = [Counter(re.findall(r"[^\W_]+", text.lower())) for _, text in corpus]
+    vocab = sorted(set().union(*doc_tfs))
+    postings: dict[str, list[tuple[int, int]]] = {term: [] for term in vocab}
+    for doc, tfs in enumerate(doc_tfs):
+        for term in sorted(tfs):
+            postings[term].append((doc, tfs[term]))
+    lengths = [sum(tfs.values()) for tfs in doc_tfs]
+    return vocab, lengths, [dict(tfs) for tfs in doc_tfs], postings
+
+
+# --- docmaps ----------------------------------------------------------------
+
+
+def reference_docmap_index(ids: list[str]) -> dict[str, int]:
+    """docid -> position, one id at a time, raising the docmap's message on
+    the first empty, whitespace-holding or repeated id."""
+    if not ids:
+        raise ValueError("docmap is empty")
+    index: dict[str, int] = {}
+    for pos, docid in enumerate(ids):
+        if docid == "":
+            raise ValueError(f"empty docid at position {pos}")
+        if any(ch.isspace() for ch in docid):
+            raise ValueError(f"docid contains whitespace: {docid!r}")
+        if docid in index:
+            raise ValueError(f"duplicate docid: {docid!r}")
+        index[docid] = pos
+    return index
+
+
+def reference_read_docids(path) -> list[str]:
+    """A docmap sidecar read one line at a time, dropping one trailing empty line."""
+    with open(path, encoding="utf-8") as fh:
+        ids = [line.rstrip("\n") for line in fh]
+    if ids and ids[-1] == "":
+        ids.pop()
+    return ids
 
 
 # --- BM25 -------------------------------------------------------------------

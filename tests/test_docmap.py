@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gar import DocMap
+from gar import DocMap, docmap
+from oracles import reference_docmap_index, reference_read_docids
 
 DOCID = st.text(
     st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=12
@@ -93,3 +96,60 @@ def test_save_load_identity(tmp_path_factory, ids):
     dm = DocMap(ids)
     dm.save(path)
     assert DocMap.load(path) == dm
+
+
+# ids from a few good tokens, the empty id and whitespace of every kind
+# str.split knows, Unicode included, so repeats and bad ids land anywhere
+MESSY_ID = st.one_of(
+    st.sampled_from(["a", "b", "c", "d1", "é", "", " ", "a b", "\x1c", "x\x1dy", "\x1e", "z\x1f",
+                     "\x85", "\xa0q", "\u2028", "r\u3000", "\t", "\x0b"]),
+    st.text(st.sampled_from("ab\x1c\x1f\x85\xa0\u2028\u3000 "), min_size=1, max_size=3),
+)
+
+
+def _outcome(build):
+    """The docmap's ids, or the first error's message."""
+    try:
+        return list(build())
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(MESSY_ID, max_size=12), st.integers(1, 4))
+@example(["a", "b", "", "a", "c d"], 2)
+@example(["a", "\u3000", "", "a"], 1)
+@example(["a", "b", "a", ""], 3)
+def test_docmap_raises_the_first_error_of_the_per_id_loop(ids, block):
+    """DocMap(ids) accepts or refuses ids as a check of one id at a time does,
+    with the same first message, whatever the whitespace-check block."""
+    with mock.patch.object(docmap, "_CHECK_BLOCK_IDS", block):
+        got = _outcome(lambda: DocMap(ids))
+    assert got == _outcome(lambda: reference_docmap_index(ids))
+    if isinstance(got, list):
+        dm = DocMap(ids)
+        assert [dm.internal(docid) for docid in ids] == list(range(len(ids)))
+
+
+LINE_END = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(MESSY_ID, LINE_END), max_size=10),
+    st.sampled_from(["", "\n", "\n\n", "\r\n\r\n", "x"]),
+    st.integers(1, 6),
+)
+@example([("a", "\r\n"), ("b", "\r\n")], "", 1)
+@example([("a", "\r"), ("b", "\n")], "\n", 2)
+@example([("a", "\n"), ("b", "\n")], "\n\n", 1)
+@example([("a", "\n"), ("b", "\n")], "x", 3)
+def test_load_reads_what_the_line_reader_reads(tmp_path_factory, lines, tail, block):
+    """DocMap.load gives the ids, or the error, of a line-at-a-time read, for
+    \\r\\n and lone \\r line ends, trailing blank lines and a last line
+    without a newline, whatever the read block."""
+    path = tmp_path_factory.mktemp("dm") / "ids.docs"
+    path.write_bytes(("".join(docid + end for docid, end in lines) + tail).encode("utf-8"))
+    with mock.patch.object(docmap, "_LOAD_BLOCK_CHARS", block):
+        got = _outcome(lambda: DocMap.load(path))
+    assert got == _outcome(lambda: reference_docmap_index(reference_read_docids(path)))

@@ -25,7 +25,7 @@ from gar import (
 )
 from gar import lexical
 from gar.lexical import bm25_scores, build_dense_graph
-from oracles import bm25_all_scores, knn_row, reference_tokenize
+from oracles import bm25_all_scores, knn_row, reference_index, reference_tokenize
 from synthdata import random_corpus, write_garv
 
 
@@ -50,9 +50,19 @@ def test_tokenize_output_shape(text):
         assert all(ch.isalnum() for ch in token)
 
 
-@given(st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=60))
+# every ASCII code point, control characters (\x1c-\x1f among them) and DEL
+# included, as each takes the byte table
+@given(st.text(st.characters(min_codepoint=0, max_codepoint=127), max_size=60))
 def test_tokenize_matches_reference_on_ascii(text):
     assert tokenize(text) == reference_tokenize(text)
+
+
+@given(st.text(max_size=60))
+@example("ÀB_c\x1cd\x7fİx ǅ٣4\u3000e\xa0f")
+@example("AbC_d\x1ce\x1ff\x7fg9")
+def test_tokenize_is_the_token_regex_on_any_text(text):
+    # ASCII text takes the byte table, any other the regex itself
+    assert tokenize(text) == lexical._TOKEN_RE.findall(text.lower())
 
 
 # --- params and index -------------------------------------------------------
@@ -97,6 +107,34 @@ def test_index_lookups_outside_the_corpus():
 def test_index_postings_in_corpus_order():
     index = index_corpus([(f"d{i}", "shared") for i in range(20)])
     assert list(index.postings["shared"]) == list(range(20))
+
+
+# words that mix cases, digits and separators, ASCII or not, so docs share terms
+INDEX_TEXT = st.one_of(
+    st.just(""),
+    st.text(st.sampled_from("aAbB1 _-.\x1c\x7f\t"), max_size=16),
+    st.text(st.sampled_from("aAbB1 _ÀàİßǅǆΣσς٣\xa0\u3000"), max_size=16),
+    st.text(max_size=8),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(INDEX_TEXT, min_size=1, max_size=12))
+def test_index_matches_regex_token_index(texts):
+    corpus = [(f"d{i}", text) for i, text in enumerate(texts)]
+    index = index_corpus(corpus)
+    vocab, lengths, doc_tfs, postings = reference_index(corpus)
+    assert list(index.postings) == vocab
+    assert index.doc_lengths == tuple(lengths)
+    # doc-major: each doc's terms ascending, with their frequencies
+    for doc, tfs in enumerate(doc_tfs):
+        assert index.doc_terms[doc] == tuple(sorted(tfs))
+        assert [index.term_frequency(term, doc) for term in sorted(tfs)] == [tfs[t] for t in sorted(tfs)]
+    # term-major: each term's docs ascending, with their frequencies
+    for term, rows in postings.items():
+        assert index.postings[term].tolist() == [doc for doc, _ in rows]
+        assert [index.term_frequency(term, doc) for doc, _ in rows] == [tf for _, tf in rows]
+        assert index.document_frequency(term) == len(rows)
 
 
 def test_index_empty_corpus_rejected():
