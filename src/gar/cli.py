@@ -11,12 +11,13 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import bench as bench_mod
 from . import evaluate as eval_mod
 from . import formats
 from . import sweep as sweep_mod
+from .docmap import DocMap
 from .graph import DEFAULT_K, CorpusGraph, build_graph, graph_file_size
 from .lexical import Bm25Params, DenseVectors, InvertedIndex, bm25_doc_scores, bm25_doc_topk, bm25_retrieve, build_dense_graph, index_corpus
 # dense_topk is the dense build's per-row rule; perfbench's traced pass wraps
@@ -153,30 +154,42 @@ def cmd_cluster_test(args: argparse.Namespace) -> int:
     if args.method == "bm25":
         index = _load_index(args)
         params = _bm25_params(args)
-        docmap = index.docmap
+        internal = _judged_internal(index.docmap, qrels)
 
         # cluster_matrix asks for every pair of one probe in a row
         @functools.lru_cache(maxsize=1)
         def probe_scores(probe: str):
-            return bm25_doc_scores(index, params, docmap.internal(probe))
+            return bm25_doc_scores(index, params, internal(probe))
 
         def similarity(probe: str, other: str) -> float:
-            return float(probe_scores(probe)[docmap.internal(other)])
+            return float(probe_scores(probe)[internal(other)])
 
     else:
         if not args.vectors:
             raise ValueError("method dense needs --vectors")
         vectors = DenseVectors.load(args.vectors)
-        docmap = vectors.docmap
+        internal = _judged_internal(vectors.docmap, qrels)
 
         def similarity(probe: str, other: str) -> float:
-            return vectors.similarity(docmap.internal(probe), docmap.internal(other))
+            return vectors.similarity(internal(probe), internal(other))
 
     matrix = eval_mod.cluster_matrix(qrels, similarity)
     sys.stdout.write(formats.format_cluster_matrix(matrix))
     if args.out:
         formats.write_cluster_matrix(args.out, matrix)
     return 0
+
+
+def _judged_internal(docmap: DocMap, qrels: eval_mod.Qrels) -> Callable[[str], int]:
+    """docid -> internal id, with every judged docid mapped in one batch; an
+    unknown docid raises the docmap's KeyError."""
+    judged = sorted({docid for labels in qrels.values() for docid in labels})
+    known = {docid: doc for docid, doc in zip(judged, docmap.lookup(judged)) if doc is not None}
+
+    def internal(docid: str) -> int:
+        return known[docid] if docid in known else docmap.internal(docid)
+
+    return internal
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

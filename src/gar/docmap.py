@@ -2,124 +2,222 @@
 
 from __future__ import annotations
 
+import itertools
+import operator
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 # Internal ids are unsigned 32-bit; the top value is reserved as the
 # padding sentinel in edge tables, so a docmap may hold at most 2**32 - 1 docs.
 MAX_DOCS = 0xFFFFFFFF
 
-# ids joined per whitespace check, and characters of a sidecar split at a
-# time; each bounds the text held at once
+# ids checked per block, and characters of a sidecar read at a time; each
+# bounds the id strings held at once
 _CHECK_BLOCK_IDS = 1 << 16
 _LOAD_BLOCK_CHARS = 1 << 20
+
+# The index sorts ids by this hash. Any str -> int function gives exact
+# lookups, as every probe is confirmed against the text.
+_hash = hash
+
+_NEWLINES = itertools.repeat("\n")
 
 
 class DocMap:
     """Ordered set of external docids, addressed by position.
 
-    Internal id i maps to the i-th external id. The mapping is immutable
-    after construction and safe to share across threads.
+    Internal id i maps to the i-th external id. The map is held as read-only
+    columns: `_text`, the ids each followed by "\\n"; `_starts`, where each id
+    starts in the text, then the text's length; `_hashes`, the ids' hashes
+    in ascending order; and `_order`, the position of each sorted hash. An id
+    is found by binary search over the hashes and confirmed against the text.
+    `lookup` and `names` map a batch at a time; every other accessor calls
+    one of them. The mapping is immutable and safe to share across threads.
     """
 
-    __slots__ = ("_ids", "_index")
+    __slots__ = ("_text", "_starts", "_hashes", "_order")
 
     def __init__(self, docids: Iterable[str]):
-        ids = tuple(docids)
-        if not ids:
+        ids = docids if isinstance(docids, (list, tuple)) else list(docids)
+        blocks = (ids[start : start + _CHECK_BLOCK_IDS] for start in range(0, len(ids), _CHECK_BLOCK_IDS))
+        self._build((("\n".join(block) + "\n", len(block)) for block in blocks), lambda texts: ids)
+
+    def _build(self, pieces: Iterable[tuple[str, int]], ids_upto: Callable[[list[str]], Sequence[str]]) -> None:
+        """Set the columns from (text, id count) pieces, each text the ids of
+        one block, each followed by "\\n". A piece whose text does not split
+        into its count of non-empty, whitespace-free ids, and a repeated id,
+        are reported by the per-id loop, over `ids_upto(texts read so far)`."""
+        texts: list[str] = []
+        hash_blocks: list[np.ndarray] = []
+        end_blocks: list[np.ndarray] = [np.zeros(1, np.uint32)]
+        size = 0
+        for text, count in pieces:
+            ids = text.split()
+            lengths = np.fromiter(map(len, ids), np.int64, len(ids))
+            texts.append(text)
+            # the text holds count newlines and nothing else that splits it
+            if not (len(ids) == count == text.count("\n") and int(lengths.sum()) + count == len(text)):
+                _raise_first_error(ids_upto(texts))
+            hash_blocks.append(np.fromiter(map(_hash, ids), np.int64, count))
+            ends = np.cumsum(lengths + 1) + size
+            size += len(text)
+            end_blocks.append(ends.astype(np.uint32 if size <= 0xFFFFFFFF else np.uint64))
+        n = sum(map(len, hash_blocks))
+        if not n:
             raise ValueError("docmap is empty")
-        if len(ids) >= MAX_DOCS:
-            raise ValueError(f"too many docs for a 32-bit docmap: {len(ids)}")
-        index = dict(zip(ids, range(len(ids))))
-        if not (len(index) == len(ids) and "" not in index and _all_tokens(ids)):
-            index = _checked_index(ids)
-        self._ids = ids
-        self._index = index
+        if n >= MAX_DOCS:
+            raise ValueError(f"too many docs for a 32-bit docmap: {n}")
+        # each list of blocks is dropped once joined, and the hashes are
+        # sorted in place, so the peak holds one column twice at most
+        self._text = "".join(texts)
+        del texts
+        self._starts = np.concatenate(end_blocks, dtype=np.result_type(*end_blocks))
+        del end_blocks
+        hashes = np.concatenate(hash_blocks)
+        del hash_blocks
+        order = hashes.argsort()
+        hashes.sort()
+        self._hashes = hashes
+        self._order = order.astype(np.uint32)
+        del order
+        for column in (self._starts, self._hashes, self._order):
+            column.setflags(write=False)
+        # a repeat has equal hashes, so it sits in a run of equal adjacent hashes
+        tied = np.flatnonzero(hashes[1:] == hashes[:-1])
+        if tied.size:
+            names = self.names(self._order[np.union1d(tied, tied + 1)])
+            if len(set(names)) < len(names):
+                _raise_first_error(self.ids)
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return len(self._order)
 
     def __contains__(self, docid: str) -> bool:
-        return docid in self._index
+        return self.lookup((docid,))[0] is not None
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._ids)
+        return iter(self.ids)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DocMap):
             return NotImplemented
-        return self._ids == other._ids
+        return self._text == other._text
 
     def __repr__(self) -> str:
-        return f"DocMap({len(self._ids)} docs)"
+        return f"DocMap({len(self)} docs)"
+
+    def __reduce__(self):
+        # str hashes differ between processes, so a copy rebuilds its index
+        return DocMap, (self.ids,)
+
+    def lookup(self, docids: Sequence[str]) -> list[int | None]:
+        """Internal id of each docid, None for one not in the map."""
+        want = np.fromiter(map(_hash, docids), np.int64, len(docids))
+        at = self._hashes.searchsorted(want)
+        out = self._order.take(at, mode="clip").tolist()
+        # the id at a found start equals a docid free of "\n" if the text
+        # there starts with the docid and "\n"
+        starts = map(memoryview(self._starts).__getitem__, out)
+        try:
+            matched = list(map(self._text.startswith, map(operator.add, docids, _NEWLINES), starts))
+        except TypeError:  # a docid that is not a str is in no map
+            matched = [False] * len(docids)
+        if all(matched) and "\n" not in "".join(docids):
+            return out
+        for i, docid in enumerate(docids):
+            if not matched[i] or "\n" in docid:
+                out[i] = self._find(docid, int(want[i]), int(at[i]))
+        return out
+
+    def _find(self, docid: str, h: int, at: int) -> int | None:
+        """Position of `docid` among the ids hashed `h`, which start at `at`
+        in hash order, or None."""
+        hashes, order = self._hashes, self._order
+        while at < len(hashes) and hashes[at] == h:
+            if self.names((order[at],)) == [docid]:
+                return int(order[at])
+            at += 1
+        return None
+
+    def names(self, internal_ids: Sequence[int]) -> list[str]:
+        """External docid of each internal id; IndexError if one is out of range."""
+        ids = internal_ids.tolist() if isinstance(internal_ids, np.ndarray) else list(internal_ids)
+        if ids and not (0 <= min(ids) and max(ids) < len(self)):
+            bad = next(i for i in ids if not 0 <= i < len(self))
+            raise IndexError(f"internal id out of range: {bad}")
+        text, starts = self._text, memoryview(self._starts)
+        # each id ends one before the next one starts, at its "\n"
+        return [text[starts[i] : starts[i + 1] - 1] for i in ids]
 
     def external(self, internal: int) -> str:
         """External docid for an internal id."""
-        if not 0 <= internal < len(self._ids):
-            raise IndexError(f"internal id out of range: {internal}")
-        return self._ids[internal]
+        return self.names((internal,))[0]
 
     def internal(self, docid: str) -> int:
         """Internal id for an external docid; KeyError if unknown."""
-        try:
-            return self._index[docid]
-        except KeyError:
-            raise KeyError(f"unknown docid: {docid!r}") from None
+        found = self.lookup((docid,))[0]
+        if found is None:
+            raise KeyError(f"unknown docid: {docid!r}")
+        return found
 
     def get(self, docid: str) -> int | None:
         """Internal id for an external docid, or None if unknown."""
-        return self._index.get(docid)
+        return self.lookup((docid,))[0]
 
     @property
-    def ids(self) -> Sequence[str]:
-        return self._ids
+    def ids(self) -> tuple[str, ...]:
+        """Every id in internal order, as a tuple built on each call."""
+        ids = self._text.split("\n")
+        ids.pop()
+        return tuple(ids)
 
     # --- sidecar file format: one external docid per line, utf-8 ---
 
     def save(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            for docid in self._ids:
-                fh.write(docid)
-                fh.write("\n")
+            fh.write(self._text)
 
     @classmethod
     def load(cls, path: str | Path) -> "DocMap":
         """Read a sidecar, one docid per line, with universal newlines; one
         trailing empty line is dropped, as `save` writes none."""
-        ids: list[str] = []
-        rest = ""
-        with open(path, "r", encoding="utf-8") as fh:
-            while chunk := fh.read(_LOAD_BLOCK_CHARS):
-                lines = (rest + chunk).split("\n")
-                rest = lines.pop()
-                ids.extend(lines)
-        if rest:  # a last line without a newline
-            ids.append(rest)
-        if ids and ids[-1] == "":
-            ids.pop()
-        return cls(ids)
+        docmap = cls.__new__(cls)
+        docmap._build(_sidecar_pieces(path), lambda texts: "".join(texts).split("\n")[:-1])
+        return docmap
 
 
-def _all_tokens(ids: Sequence[str]) -> bool:
-    """Whether no id holds whitespace, by `str.split` on the ids joined a
-    block at a time."""
-    for start in range(0, len(ids), _CHECK_BLOCK_IDS):
-        joined = "".join(ids[start : start + _CHECK_BLOCK_IDS])
-        if joined.split() != [joined]:
-            return False
-    return True
+def _sidecar_pieces(path: str | Path) -> Iterator[tuple[str, int]]:
+    """The sidecar's lines as (text, line count) pieces of whole lines, a
+    block at a time. Trailing empty lines are held back to the end of the
+    file, where one is dropped."""
+    rest = ""
+    with open(path, "r", encoding="utf-8") as fh:
+        while chunk := fh.read(_LOAD_BLOCK_CHARS):
+            text = rest + chunk
+            cut = text.rfind("\n") + 1
+            while cut and (cut == 1 or text[cut - 2] == "\n"):
+                cut -= 1
+            rest = text[cut:]
+            if cut:
+                yield text[:cut], text.count("\n", 0, cut)
+    lines = rest.split("\n")
+    for _ in range(2):  # the end of the last line, then one trailing empty line
+        if lines and lines[-1] == "":
+            lines.pop()
+    if lines:
+        yield "\n".join(lines) + "\n", len(lines)
 
 
-def _checked_index(ids: Sequence[str]) -> dict[str, int]:
-    """docid -> position, raising on the first empty, whitespace-holding or
-    repeated docid."""
-    index: dict[str, int] = {}
+def _raise_first_error(ids: Sequence[str]) -> None:
+    """Raise on the first empty, whitespace-holding or repeated docid."""
+    seen: set[str] = set()
     for pos, docid in enumerate(ids):
         if not docid:
             raise ValueError(f"empty docid at position {pos}")
         if docid.split() != [docid]:
             raise ValueError(f"docid contains whitespace: {docid!r}")
-        if docid in index:
+        if docid in seen:
             raise ValueError(f"duplicate docid: {docid!r}")
-        index[docid] = pos
-    return index
+        seen.add(docid)

@@ -221,13 +221,10 @@ def ils(
         rel_docs = [d for d, _ in ranked[:depth] if labels.get(d, 0) >= min_rel]
         if len(rel_docs) < 2:
             return None
-        rows = []
-        for docid in rel_docs:
-            internal = docmap.get(docid)
-            if internal is None:
-                raise ValueError(f"no vector for doc {docid!r} (query {qid!r})")
-            rows.append(vectors.row(internal))
-        m = np.asarray(rows, dtype=np.float64)
+        found = docmap.lookup(rel_docs)
+        if None in found:
+            raise ValueError(f"no vector for doc {rel_docs[found.index(None)]!r} (query {qid!r})")
+        m = np.asarray([vectors.row(doc) for doc in found], dtype=np.float64)
         sims = m @ m.T
         upper = sims[np.triu_indices(len(rel_docs), k=1)]
         return float(np.clip(upper, -1.0, 1.0).mean())

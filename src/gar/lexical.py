@@ -325,7 +325,7 @@ def bm25_retrieve(
     """Rank docs with positive query overlap; ties break by ascending internal id."""
     scores = _score_all(index, params, index._columns(tokenize(query)))
     ids, values = _top(scores, top_n)
-    return Ranking(qid, tuple(map(index.docmap.ids.__getitem__, ids.tolist())), values)
+    return Ranking(qid, tuple(index.docmap.names(ids)), values)
 
 
 def bm25_doc_scores(index: InvertedIndex, params: Bm25Params, doc: int) -> np.ndarray:

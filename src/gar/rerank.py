@@ -12,6 +12,7 @@ import hashlib
 import heapq
 import itertools
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -152,7 +153,10 @@ class Bm25Scorer:
         self._params = params
 
     def score_batch(self, qid: str, query: str, docids: Sequence[str]) -> list[float]:
-        docs = [self._index.docmap.internal(docid) for docid in docids]
+        docmap = self._index.docmap
+        docs = docmap.lookup(docids)
+        if None in docs:
+            docmap.internal(docids[docs.index(None)])  # raises the KeyError naming it
         return bm25_scores(self._index, self._params, tokenize(query), docs).tolist()
 
 
@@ -211,55 +215,57 @@ def _rerank(
     qid = r0.qid
     order = r0.docids()
     # Docs are keyed by integer id: a graph doc by its internal id, and a
-    # pool doc outside the graph by an id past n_docs, assigned when the
-    # cursor draws it; such a doc is scored but never expands. A graph
-    # without edges can never populate the frontier, so it is not consulted
-    # at all and the loop runs exactly as plain re-ranking.
+    # pool doc outside the graph by n_docs plus its pool position; such a doc
+    # is scored but never expands. A graph without edges can never populate
+    # the frontier, so it is not consulted at all and the loop runs exactly
+    # as plain re-ranking. Each batch is named once: a pool batch from the
+    # pool, a frontier batch by one docmap call.
     expand = graph is not None and graph.n_edges > 0
-    lookup = graph.docmap.get if expand else {}.get
-    ids = graph.docmap.ids if expand else ()
-    n_docs = len(ids)
-    outside: list[str] = []
+    lookup = graph.docmap.lookup if expand else lambda chunk: itertools.repeat(None)
+    n_docs = graph.n_docs if expand else 0
 
     scored: dict[int, float] = {}
-    via: dict[int, int] = {}  # frontier doc -> the scored doc that surfaced it
+    via: dict[int, str] = {}  # frontier doc -> the docid of the scored doc that surfaced it
     # Frontier: a heap of sources, one entry per scored graph doc, keyed by
-    # (-score, seq, arrival) and holding the doc's neighbour row. `first`
-    # numbers each doc where it first appears in a scored doc's row, which
-    # orders frontier docs by first insertion, and `arrival` numbers sources
-    # in scoring order. A source enters with seq -1 and its row as stored;
-    # the first time it reaches the top, its unscored neighbours are sorted
-    # by first insertion, and from then on seq is the number of the next one.
-    # Taking the top source's next neighbour pops docs by priority (the
-    # highest score among a doc's sources) descending, then first insertion,
-    # from the earliest-scored source of that priority: a strictly higher
-    # rediscovery takes over the score and the source, and the doc keeps its
-    # place. A neighbour drawn meanwhile through another source or the pool
-    # is skipped when reached, so seq may lag, never lead.
-    heap: list[tuple[float, int, int, int, list[int]]] = []
+    # (-score, seq, arrival) and holding the doc's docid and neighbour row.
+    # `first` numbers each doc where it first appears in a scored doc's row,
+    # which orders frontier docs by first insertion, and `arrival` numbers
+    # sources in scoring order. A source enters with seq -1 and its row as
+    # stored; the first time it reaches the top, its unscored neighbours are
+    # sorted by first insertion, and from then on seq is the number of the
+    # next one. Taking the top source's next neighbour pops docs by priority
+    # (the highest score among a doc's sources) descending, then first
+    # insertion, from the earliest-scored source of that priority: a strictly
+    # higher rediscovery takes over the score and the source, and the doc
+    # keeps its place. A neighbour drawn meanwhile through another source or
+    # the pool is skipped when reached, so seq may lag, never lead.
+    heap: list[tuple[float, int, int, str, list[int]]] = []
     first: dict[int, int] = {}
     numbers = itertools.count()
     arrival = itertools.count()
     cursor = 0
+    # every scored doc, its docid and its score, in scoring order
+    docs: list[int] = []
+    docids: list[str] = []
+    scores: list[float] = []
 
-    def docid_of(doc: int) -> str:
-        return ids[doc] if doc < n_docs else outside[doc - n_docs]
-
-    def draw_initial(want: int) -> list[int]:
+    def draw_initial(want: int) -> tuple[list[int], list[str]]:
+        # the pool is mapped a chunk at a time, never past the doc that fills the batch
         nonlocal cursor
         batch: list[int] = []
-        while cursor < len(order) and len(batch) < want:
-            docid = order[cursor]
-            cursor += 1
-            doc = lookup(docid)
-            if doc is None:
-                doc = n_docs + len(outside)
-                outside.append(docid)
-            if doc not in scored:
-                batch.append(doc)
-        return batch
+        names: list[str] = []
+        while len(batch) < want and cursor < len(order):
+            chunk = order[cursor : cursor + want - len(batch)]
+            for pos, docid, doc in zip(itertools.count(cursor), chunk, lookup(chunk)):
+                if doc is None:
+                    doc = n_docs + pos
+                if doc not in scored:
+                    batch.append(doc)
+                    names.append(docid)
+            cursor += len(chunk)
+        return batch, names
 
-    def draw_frontier(want: int) -> list[int]:
+    def draw_frontier(want: int) -> tuple[list[int], list[str]]:
         batch: list[int] = []
         while heap and len(batch) < want:
             negscore, next_seq, arrived, source, row = heap[0]
@@ -274,55 +280,56 @@ def _rerank(
                 heapq.heapreplace(heap, (negscore, first[row[-1]], arrived, source, row))
             else:
                 heapq.heappop(heap)
-        return batch
+        return batch, graph.docmap.names(batch) if batch else []
 
     pool_is_initial = True
     while len(scored) < config.budget:
         want = min(config.batch_size, config.budget - len(scored))
-        if pool_is_initial:
-            batch = draw_initial(want) or draw_frontier(want)
-        else:
-            batch = draw_frontier(want) or draw_initial(want)
+        draws = (draw_initial, draw_frontier) if pool_is_initial else (draw_frontier, draw_initial)
+        batch, names = draws[0](want)
+        if not batch:
+            batch, names = draws[1](want)
         if not batch:
             break
-        names = [docid_of(doc) for doc in batch]
         try:
-            scores = scorer.score_batch(qid, query_text, names)
+            got = scorer.score_batch(qid, query_text, names)
         except Exception as exc:
             raise RuntimeError(f"scorer failed on query {qid!r} batch {names}") from exc
-        if len(scores) != len(batch):
+        if len(got) != len(batch):
             raise ValueError(
-                f"scorer returned {len(scores)} scores for a batch of {len(batch)} (query {qid!r})"
+                f"scorer returned {len(got)} scores for a batch of {len(batch)} (query {qid!r})"
             )
-        scores = [float(score) for score in scores]
-        for doc, docid, score in zip(batch, names, scores):
-            if not math.isfinite(score):
-                raise ValueError(f"scorer returned non-finite score {score!r} for query {qid!r} doc {docid!r}")
-            scored[doc] = score
+        got = [float(score) for score in got]
+        # a non-finite score makes the sum non-finite; a finite sum may still overflow
+        if not math.isfinite(sum(got)):
+            for docid, score in zip(names, got):
+                if not math.isfinite(score):
+                    raise ValueError(f"scorer returned non-finite score {score!r} for query {qid!r} doc {docid!r}")
+        scored.update(zip(batch, got))
+        docs += batch
+        docids += names
+        scores += got
         if expand:
-            expanding = [(doc, score) for doc, score in zip(batch, scores) if doc < n_docs]
-            rows = graph.edges[[doc for doc, _ in expanding]].tolist()
+            expanding = [(doc, docid, score) for doc, docid, score in zip(batch, names, got) if doc < n_docs]
+            rows = graph.edges.take([doc for doc, _, _ in expanding], axis=0).tolist()
             # number every neighbour not seen before, in one pass at C level
             collections.deque(map(first.setdefault, itertools.chain.from_iterable(rows), numbers), 0)
-            for (doc, score), row in zip(expanding, rows):
+            for (doc, docid, score), row in zip(expanding, rows):
                 if row[-1] == SENTINEL:
                     row = row[: row.index(SENTINEL)]
                 if row:
-                    heapq.heappush(heap, (-score, -1, next(arrival), doc, row))
+                    heapq.heappush(heap, (-score, -1, next(arrival), docid, row))
         pool_is_initial = not pool_is_initial
 
     # the scored block by (score desc, docid asc), then the backfilled rest of the pool
-    block = sorted((-score, docid_of(doc), doc) for doc, score in scored.items())
-    block_ids = tuple(docid for _, docid, _ in block)
-    scores = [-negscore for negscore, _, _ in block]
-    sources = tuple(ids[via[doc]] if doc in via else None for _, _, doc in block)
+    negscores, block_ids, block_docs = zip(*sorted(zip(map(operator.neg, scores), docids, docs)))
     remainder = tuple(itertools.filterfalse(set(block_ids).__contains__, order[cursor:]))
     n = len(remainder)
     return Ranking(
         qid,
         block_ids + remainder,
-        np.concatenate((scores, backfill(min(scores), n))),
-        sources=sources + (None,) * n,
+        np.concatenate((np.negative(negscores), backfill(-negscores[-1], n))),
+        sources=tuple(map(via.get, block_docs)) + (None,) * n,
     )
 
 

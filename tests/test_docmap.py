@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,15 @@ from oracles import reference_docmap_index, reference_read_docids
 DOCID = st.text(
     st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=12
 )
+
+# valid ids over all of Unicode but surrogates, with ids that differ only by
+# a trailing NUL and non-ASCII letters drawn often
+UNICODE_ID = st.one_of(
+    st.sampled_from(["a", "a\x00", "\x00", "é", "e\u0301", "日本", "ß", "\U0001f600x"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6),
+).filter(lambda docid: docid.split() == [docid])
+# probes: the same ids, and strings no docmap holds, with whitespace or empty
+PROBE = st.one_of(UNICODE_ID, st.sampled_from(["", "a\n", "a\na\x00", "a\n\x00", " ", "é\u3000"]))
 
 
 def test_round_trip_lookups():
@@ -32,6 +43,11 @@ def test_unknown_docid_raises():
     dm = DocMap(["a"])
     with pytest.raises(KeyError, match="unknown docid"):
         dm.internal("b")
+    # an id that is not a str is unknown too
+    with pytest.raises(KeyError, match="unknown docid: 5"):
+        dm.internal(5)
+    assert dm.get(5) is None and 5 not in dm
+    assert dm.lookup(["a", 5, "b"]) == [0, None, None]
 
 
 def test_internal_out_of_range():
@@ -153,3 +169,118 @@ def test_load_reads_what_the_line_reader_reads(tmp_path_factory, lines, tail, bl
     with mock.patch.object(docmap, "_LOAD_BLOCK_CHARS", block):
         got = _outcome(lambda: DocMap.load(path))
     assert got == _outcome(lambda: reference_docmap_index(reference_read_docids(path)))
+
+
+def _per_id_save(ids, path):
+    """The sidecar as a writer of one id and one newline at a time writes it."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for docid in ids:
+            fh.write(docid)
+            fh.write("\n")
+
+
+def _check_against_dict(ids, probes):
+    dm = DocMap(ids)
+    index = reference_docmap_index(ids)
+    assert len(dm) == len(ids)
+    assert dm.ids == tuple(ids)
+    assert list(dm) == ids
+    assert dm.names(range(len(ids))) == ids
+    assert dm.names(list(reversed(range(len(ids))))) == ids[::-1]
+    assert dm.lookup(ids) == list(range(len(ids)))
+    assert dm.lookup(probes) == [index.get(docid) for docid in probes]
+    for pos, docid in enumerate(ids):
+        assert dm.external(pos) == docid
+        assert dm.internal(docid) == pos
+    for docid in probes:
+        assert dm.get(docid) == index.get(docid)
+        assert (docid in dm) == (docid in index)
+        if docid not in index:
+            with pytest.raises(KeyError, match="unknown docid"):
+                dm.internal(docid)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(UNICODE_ID, min_size=1, max_size=20, unique=True), st.lists(PROBE, max_size=12))
+@example(["a", "a\x00"], ["a\x00", "a", "a\x00\x00", "a\n"])
+@example(["a", "b"], ["a\nb", "a\n", "ab"])
+def test_lookups_match_a_dict_on_unicode_ids(ids, probes):
+    _check_against_dict(ids, probes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(UNICODE_ID, min_size=1, max_size=12, unique=True), st.lists(PROBE, max_size=8))
+@example(["a", "b"], ["a\nb", "b\na"])
+def test_lookups_stay_exact_when_every_hash_is_equal(ids, probes):
+    """With one hash for every id, each probe is settled by the text alone."""
+    with mock.patch.object(docmap, "_hash", lambda docid: 7):
+        _check_against_dict(ids, probes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(UNICODE_ID, min_size=1, max_size=10), st.integers(1, 4))
+@example(["a", "b", "c", "b"], 1)
+def test_equal_hashes_give_the_same_duplicate_error(ids, block):
+    with mock.patch.object(docmap, "_CHECK_BLOCK_IDS", block):
+        with mock.patch.object(docmap, "_hash", lambda docid: 7):
+            got = _outcome(lambda: DocMap(ids))
+    assert got == _outcome(lambda: reference_docmap_index(ids))
+
+
+def test_names_rejects_out_of_range_ids():
+    dm = DocMap(["a", "b"])
+    assert dm.names([]) == []
+    assert dm.lookup([]) == []
+    for bad in ([2], [0, -1], [1, 5, -3]):
+        first = next(i for i in bad if not 0 <= i < 2)
+        with pytest.raises(IndexError, match=f"internal id out of range: {first}"):
+            dm.names(bad)
+    assert dm.names(np.array([1, 0], dtype=np.uint32)) == ["b", "a"]
+
+
+def test_the_map_is_read_only(tmp_path):
+    """A write to any array the map holds raises, as its text cannot change."""
+    path = tmp_path / "ids.docs"
+    DocMap(["a", "b", "c"]).save(path)
+    for dm in (DocMap(["a", "b", "c"]), DocMap.load(path)):
+        arrays = [getattr(dm, slot) for slot in DocMap.__slots__ if isinstance(getattr(dm, slot), np.ndarray)]
+        assert len(arrays) == 3
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        assert dm.lookup(["c", "a"]) == [2, 0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(UNICODE_ID, min_size=1, max_size=20, unique=True))
+def test_save_writes_the_bytes_of_a_per_id_writer(tmp_path_factory, ids):
+    folder = tmp_path_factory.mktemp("dm")
+    DocMap(ids).save(folder / "map.docs")
+    _per_id_save(ids, folder / "ref.docs")
+    assert (folder / "map.docs").read_bytes() == (folder / "ref.docs").read_bytes()
+    assert DocMap.load(folder / "map.docs") == DocMap(ids)
+
+
+def test_a_copy_rebuilds_its_index():
+    import pickle
+
+    dm = DocMap(["x", "é", "a\x00"])
+    copy = pickle.loads(pickle.dumps(dm))
+    assert copy == dm
+    assert copy.lookup(["a\x00", "é", "a"]) == [2, 1, None]
+
+
+def test_load_keeps_at_most_40_bytes_per_id(tmp_path):
+    """The loaded map of 100,000 short ids holds columns, not an object per id."""
+    n = 100_000
+    path = tmp_path / "ids.docs"
+    path.write_text("".join(f"doc{i}\n" for i in range(n)), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        dm = DocMap.load(path)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(dm) == n and dm.get("doc99999") == n - 1
+    assert kept <= 40 * n, f"{kept / n:.1f} bytes per id"

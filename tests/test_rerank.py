@@ -266,6 +266,20 @@ def test_scorer_non_finite_score_rejected(bad):
     scores["d1"] = bad
     with pytest.raises(ValueError, match=r"non-finite score .* query 'q' doc 'd1'"):
         typical_rerank(r0, MapScorer(scores), ReRankConfig(batch_size=2, budget=4))
+    # the batch's first non-finite score is named, whatever follows it
+    scores["d1"], scores["d2"], scores["d3"] = 1.0, bad, float("nan")
+    with pytest.raises(ValueError, match=r"non-finite score .* query 'q' doc 'd2'"):
+        typical_rerank(r0, MapScorer(scores), ReRankConfig(batch_size=2, budget=4))
+
+
+def test_scorer_finite_scores_summing_past_the_float_range_accepted():
+    # each batch's scores sum to inf, yet every one of them is finite
+    pool = [f"d{i}" for i in range(6)]
+    r0 = Ranking.from_pairs("q", [(docid, 6.0 - i) for i, docid in enumerate(pool)])
+    scores = dict(zip(pool, [1e308, 1.5e308, -1e308, -1.7e308, 1.7e308, 1e308]))
+    out = typical_rerank(r0, MapScorer(scores), ReRankConfig(batch_size=2, budget=4))
+    want = reference_rerank(pool, lambda batch: [scores[d] for d in batch], {}, 2, 4)
+    assert [(e.docid, e.score, e.provenance, e.source) for e in out] == want
 
 
 # --- graph-adaptive re-ranking ----------------------------------------------
@@ -518,18 +532,26 @@ def test_gar_budget_prefix_property():
         assert set(small.pairs) <= set(big.pairs), f"trial {trial}"
 
 
+# docids over all of Unicode but surrogates and whitespace, with ids that
+# differ only by a trailing NUL and non-ASCII letters drawn often
+DOC_NAME = st.one_of(
+    st.sampled_from(["a", "a\x00", "g1", "x0", "é", "e\u0301", "日本", "\U0001f600"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4),
+).filter(lambda docid: docid.split() == [docid])
+
+
 @st.composite
 def rerank_instances(draw):
     """Small sentinel-padded graph, a pool mixing graph and outside docs,
     tie-prone scores, and a batch size and budget."""
     n = draw(st.integers(1, 10))
     k = draw(st.integers(1, 4))
-    docids = [f"g{i}" for i in range(n)]
+    names = draw(st.lists(DOC_NAME, min_size=n + 3, max_size=n + 3, unique=True))
+    docids, outside = names[:n], names[n:]
     rows = {}
     for doc in range(n):
         others = [j for j in range(n) if j != doc]
         rows[doc] = draw(st.lists(st.sampled_from(others), unique=True, max_size=k)) if others else []
-    outside = [f"x{i}" for i in range(3)]
     pool = draw(st.lists(st.sampled_from(docids + outside), unique=True, min_size=1))
     scores = {d: draw(st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0])) for d in docids + outside}
     config = ReRankConfig(batch_size=draw(st.integers(1, 4)), budget=draw(st.integers(1, 12)))

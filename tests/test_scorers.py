@@ -281,6 +281,9 @@ def test_bm25_scorer_unknown_docid():
     index = index_corpus([("d1", "x")])
     with pytest.raises(KeyError, match="unknown docid"):
         Bm25Scorer(index).score_batch("q", "x", ["nope"])
+    # the batch's first unknown docid is named
+    with pytest.raises(KeyError, match="unknown docid: 'nope'"):
+        Bm25Scorer(index).score_batch("q", "x", ["d1", "nope", "nah"])
 
 
 # --- RecordingScorer ----------------------------------------------------------
