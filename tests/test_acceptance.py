@@ -44,7 +44,7 @@ from gar import (
     write_sweep_table,
     write_trace,
 )
-from gar.lexical import build_dense_graph
+from gar.lexical import Bm25BlockTopk, build_dense_graph
 from oracles import (
     bm25_all_scores,
     closure,
@@ -216,13 +216,13 @@ def test_criterion_04_graph_builder_matches_brute_force(capsys):
         graph = build_graph(
             index.docmap, lambda d, c: bm25_doc_topk(index, params, d, c), k
         )
+        block_bm25_graph = build_graph(index.docmap, Bm25BlockTopk(index, params), k)
         tokens = [reference_tokenize(text) for _, text in corpus]
         for doc in range(size):
             scores = bm25_all_scores(tokens, set(tokens[doc]))
             want = knn_row(scores, doc, k, positive_only=True)
-            rows_checked += 1
-            if graph.edges[doc].tolist() != want:
-                bad += 1
+            rows_checked += 2
+            bad += (graph.edges[doc].tolist() != want) + (block_bm25_graph.edges[doc].tolist() != want)
 
         vectors = DenseVectors(
             random_vectors(np_rng, size, dim=8), DocMap([d for d, _ in corpus])
@@ -241,7 +241,7 @@ def test_criterion_04_graph_builder_matches_brute_force(capsys):
         capsys,
         4,
         bad == 0,
-        f"{rows_checked} edge rows over {len(sizes)} corpora x 3 builds, "
+        f"{rows_checked} edge rows over {len(sizes)} corpora x 4 builds, "
         f"{rows_checked - bad} exact matches against brute force",
         started,
     )

@@ -1,24 +1,33 @@
 from __future__ import annotations
 
+import random
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from gar import (
+    Bm25Params,
     DenseVectors,
     DocMap,
     CorpusGraph,
     Ranking,
+    bm25_doc_topk,
+    build_graph,
     cluster_matrix,
     graph_file_size,
+    index_corpus,
     precompute_cache,
     read_run,
     read_trace,
     write_cluster_matrix,
+    write_corpus,
     write_qrels,
 )
+from gar import cli, lexical
 from gar.cli import main
 from oracles import bm25_all_scores
-from synthdata import write_garv
+from synthdata import random_corpus, write_garv
 
 CORPUS = [
     ("d0", "apple fruit crisp"),
@@ -196,6 +205,46 @@ def test_dense_route(workdir, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert out.startswith("ils\t")
+
+
+@pytest.mark.parametrize("k1, b, block_rows", [(0.9, 0.4, None), (1.7, 0.95, None), (0.9, 0.4, 1)])
+def test_bm25_build_writes_the_per_row_graph(tmp_path, monkeypatch, capsys, k1, b, block_rows):
+    # copies of one text tie in each other's rows, which the per-row rule orders
+    corpus = random_corpus(random.Random(61), 60, vocab_size=12, max_len=6)
+    corpus += [(f"copy{i}", corpus[i % 3][1]) for i in range(9)]
+    write_corpus(tmp_path / "corpus.tsv", corpus)
+    if block_rows is not None:
+        # blocks of one row: the CLI calls the per-row rule itself
+        monkeypatch.setattr(lexical, "_BM25_BLOCK_BYTES", 8 * len(corpus) * block_rows)
+    # the CLI's graph must come back through gar.cli.build_graph
+    real_build_graph = cli.build_graph
+    built = []
+
+    def capture(*args, **kwargs):
+        built.append(real_build_graph(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_graph", capture)
+    per_row_calls = mock.Mock(wraps=cli.bm25_doc_topk)
+    monkeypatch.setattr(cli, "bm25_doc_topk", per_row_calls)
+    with mock.patch.object(lexical, "bm25_doc_topk", wraps=lexical.bm25_doc_topk) as fallback:
+        rc = run_cli(
+            "build-graph", "--method", "bm25", "--corpus", tmp_path / "corpus.tsv", "--k", "5",
+            "--bm25-k1", k1, "--bm25-b", b, "--out", tmp_path / "block.bin",
+        )
+    assert rc == 0
+    if block_rows is None:
+        assert per_row_calls.call_count == 0 and fallback.call_count > 0
+    else:
+        assert per_row_calls.call_count == len(corpus) and fallback.call_count == 0
+    capsys.readouterr()
+    index = index_corpus(corpus)
+    params = Bm25Params(k1=k1, b=b)
+    per_row = build_graph(index.docmap, lambda d, c: bm25_doc_topk(index, params, d, c), 5)
+    per_row.save(tmp_path / "per_row.bin")
+    assert len(built) == 1 and np.array_equal(built[0].edges, per_row.edges)
+    for name in ("block.bin", "block.bin.docs"):
+        assert (tmp_path / name).read_bytes() == (tmp_path / name.replace("block", "per_row")).read_bytes()
 
 
 def test_dense_build_rejects_non_finite_vectors(workdir, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import warnings
@@ -381,6 +382,102 @@ def test_two_parameter_sets_share_one_index():
         ]
         doc_scores = bm25_all_scores(tokens, set(tokens[3]), params.k1, params.b)
         assert bm25_doc_topk(index, params, 3, 5) == [(d, doc_scores[d]) for d in reference_order(doc_scores, 3)[:5]]
+
+
+# --- blocked doc-as-query BM25 ------------------------------------------------
+
+
+def block_topk_rows(index, params, k, block_rows, head_terms):
+    """Every row of `Bm25BlockTopk` at `block_rows` rows per block with the
+    `head_terms` highest-df terms scored by the product, and the number of
+    rows it left to `bm25_doc_topk`."""
+    n = index.n_docs
+    with (
+        mock.patch.object(lexical, "_BM25_BLOCK_BYTES", 8 * n * block_rows),
+        mock.patch.object(lexical, "_BM25_HEAD_BYTES", 8 * n * head_terms),
+        mock.patch.object(lexical, "bm25_doc_topk", wraps=lexical.bm25_doc_topk) as per_row,
+    ):
+        provider = lexical.Bm25BlockTopk(index, params)
+        rows = [provider(doc, k) for doc in range(n)]
+    return rows, per_row.call_count
+
+
+def block_ways(index, block_rows):
+    """(rows per block, head terms): the product and the bincount together,
+    the bincount only, and the product only."""
+    return [(block_rows, 2), (block_rows, 0), (block_rows, len(index.postings))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from(["a", "b", "b", "c", "d", "e"]), max_size=5), min_size=1, max_size=9),
+    st.lists(st.integers(0, 8), max_size=4),
+    st.integers(1, 3),
+)
+@example([[]], [], 1)  # a lone empty doc
+@example([["a", "b"]], [], 2)  # a lone doc
+@example([[], [], []], [], 2)  # only empty docs
+@example([["a", "b"], ["c"], ["a"]], [0, 0, 2], 1)  # three copies of one doc tie
+def test_block_topk_ids_are_bm25_doc_topk_ids(docs, copies, block_rows):
+    # docs from six words, some of them copies of another, so that exact
+    # ties, which only the per-row rule may order, are common
+    docs = docs + [docs[i] for i in copies if i < len(docs)]
+    index = index_corpus([(f"d{i}", " ".join(words)) for i, words in enumerate(docs)])
+    params = Bm25Params()
+    n = len(docs)
+    for k in range(1, n + 2):
+        want = [bm25_doc_topk(index, params, doc, k) for doc in range(n)]
+        # a row whose positive best k + 1 hold an exact tie must fall back
+        tied = sum(
+            any(a == b > 0 for a, b in itertools.pairwise(s for _, s in bm25_doc_topk(index, params, doc, k + 1)))
+            for doc in range(n)
+        )
+        for way in block_ways(index, block_rows):
+            rows, fallbacks = block_topk_rows(index, params, k, *way)
+            assert [[d for d, _ in row] for row in rows] == [[d for d, _ in row] for row in want], way
+            assert fallbacks >= tied, way
+            # a kept row's scores lie within the rounding margin of the per-row scores
+            for doc, (row, ref) in enumerate(zip(rows, want)):
+                bound = 8 * len(index.doc_terms[doc]) * 2.0**-53
+                assert all(abs(s - r) <= bound * r for (_, s), (_, r) in zip(row, ref))
+
+
+def test_block_topk_falls_back_on_duplicate_docs():
+    # d0, d1 and d2 are one text: each one's two copies tie in its row, and
+    # all three tie in d3's row; the empty d4 has no row to certify
+    corpus = [("d0", "x y"), ("d1", "x y"), ("d2", "x y"), ("d3", "x z z"), ("d4", "")]
+    index = index_corpus(corpus)
+    params = Bm25Params()
+    want = [[d for d, _ in bm25_doc_topk(index, params, doc, 3)] for doc in range(5)]
+    for way in block_ways(index, 2):
+        rows, fallbacks = block_topk_rows(index, params, 3, *way)
+        assert [[d for d, _ in row] for row in rows] == want
+        assert fallbacks == 4, way
+
+
+def test_block_topk_rows_are_served_in_any_order():
+    rng = random.Random(47)
+    corpus = tied_corpus(rng, 40)
+    index = index_corpus(corpus)
+    params = Bm25Params()
+    with mock.patch.object(lexical, "_BM25_BLOCK_BYTES", 8 * 40 * 3):
+        provider = lexical.Bm25BlockTopk(index, params)
+        for doc, k in [(5, 4), (4, 4), (39, 2), (5, 7), (5, 0), (0, 41)]:
+            assert [d for d, _ in provider(doc, k)] == [d for d, _ in bm25_doc_topk(index, params, doc, k)]
+        with pytest.raises(IndexError, match="out of range"):
+            provider(40, 3)
+    graph = build_graph(index.docmap, provider, 5)
+    assert graph.edges.tolist() == build_graph(index.docmap, lambda d, c: bm25_doc_topk(index, params, d, c), 5).edges.tolist()
+
+
+def test_postings_order_past_16_bit_term_numbers():
+    # 65,537 terms: the last term's number does not fit the 16-bit sort
+    words = [f"w{i:05d}" for i in range(65537)]
+    index = index_corpus([("a", " ".join(words[::2])), ("b", " ".join(words[1::2])), ("c", f"{words[-1]} {words[1]}")])
+    assert list(index.postings[words[-1]]) == [0, 2]
+    assert list(index.postings[words[1]]) == [1, 2]
+    assert list(index.postings[words[0]]) == [0]
+    assert index.doc_terms[2] == (words[1], words[-1])
 
 
 # --- dense vectors ----------------------------------------------------------
