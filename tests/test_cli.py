@@ -214,7 +214,7 @@ def test_bm25_build_writes_the_per_row_graph(tmp_path, monkeypatch, capsys, k1, 
     corpus += [(f"copy{i}", corpus[i % 3][1]) for i in range(9)]
     write_corpus(tmp_path / "corpus.tsv", corpus)
     if block_rows is not None:
-        # blocks of one row: the CLI calls the per-row rule itself
+        # blocks of one row: the provider serves every row by the per-row rule
         monkeypatch.setattr(lexical, "_BM25_BLOCK_BYTES", 8 * len(corpus) * block_rows)
     # the CLI's graph must come back through gar.cli.build_graph
     real_build_graph = cli.build_graph
@@ -225,18 +225,17 @@ def test_bm25_build_writes_the_per_row_graph(tmp_path, monkeypatch, capsys, k1, 
         return built[-1]
 
     monkeypatch.setattr(cli, "build_graph", capture)
-    per_row_calls = mock.Mock(wraps=cli.bm25_doc_topk)
-    monkeypatch.setattr(cli, "bm25_doc_topk", per_row_calls)
-    with mock.patch.object(lexical, "bm25_doc_topk", wraps=lexical.bm25_doc_topk) as fallback:
+    with mock.patch.object(lexical, "bm25_doc_topk", wraps=lexical.bm25_doc_topk) as per_row_calls:
         rc = run_cli(
             "build-graph", "--method", "bm25", "--corpus", tmp_path / "corpus.tsv", "--k", "5",
             "--bm25-k1", k1, "--bm25-b", b, "--out", tmp_path / "block.bin",
         )
     assert rc == 0
     if block_rows is None:
-        assert per_row_calls.call_count == 0 and fallback.call_count > 0
+        # the tied copies' rows fall back to the per-row rule; the rest are the blocks'
+        assert 0 < per_row_calls.call_count < len(corpus)
     else:
-        assert per_row_calls.call_count == len(corpus) and fallback.call_count == 0
+        assert per_row_calls.call_count == len(corpus)
     capsys.readouterr()
     index = index_corpus(corpus)
     params = Bm25Params(k1=k1, b=b)
@@ -445,6 +444,15 @@ def test_retrieve_refuses_what_the_run_reader_would_split(workdir, capsys):
     rc = run_cli("retrieve", "--corpus", corpus, "--queries", workdir / "queries.tsv", "--out", out, "--tag", "my tag")
     assert rc == 2
     assert "tag 'my tag' is empty or holds whitespace" in err(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("top_n", ["0", "-3"])
+def test_retrieve_refuses_a_non_positive_top_n(workdir, capsys, top_n):
+    out = workdir / "run.txt"
+    rc = run_cli("retrieve", "--corpus", workdir / "corpus.tsv", "--queries", workdir / "queries.tsv", "--top-n", top_n, "--out", out)
+    assert rc == 2
+    assert f"top_n must be positive, got {top_n}" in err(capsys)
     assert not out.exists()
 
 

@@ -8,6 +8,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from gar import (
     OracleScorer,
     RecordingScorer,
     ScoreCache,
+    bm25_retrieve,
     index_corpus,
 )
 from gar.lexical import bm25_scores
@@ -269,12 +271,51 @@ def test_bm25_scorer_matches_direct_scoring():
     params = Bm25Params()
     scorer = Bm25Scorer(index, params)
     got = scorer.score_batch("q", "red dog", ["d3", "d1", "d2"])
-    want = [
-        bm25_scores(index, params, {"red", "dog"}, [index.docmap.internal(d)])[0]
-        for d in ["d3", "d1", "d2"]
-    ]
-    assert got == want
+    scores = bm25_scores(index, params, {"red", "dog"})
+    assert got == [scores[index.docmap.internal(d)] for d in ["d3", "d1", "d2"]]
     assert got[0] == 0.0
+
+
+def test_bm25_scorer_keeps_no_state_a_caller_can_see():
+    # interleaved queries, one text under two qids, and a pool split into batches
+    rng = random.Random(29)
+    corpus = [(f"d{i}", " ".join(rng.choices(["red", "fox", "dog", "cat", "owl"], k=rng.randint(1, 6)))) for i in range(40)]
+    index = index_corpus(corpus)
+    params = Bm25Params(k1=1.2, b=0.75)
+    texts = {"q1": "red dog", "q2": "owl cat cat", "q3": "red dog", "q4": "zebra"}
+    docids = [docid for docid, _ in corpus]
+    pools = {qid: rng.sample(docids, 25) for qid in texts}
+    scorer = Bm25Scorer(index, params)
+    calls = [("q1", 0, 7), ("q2", 0, 25), ("q1", 7, 25), ("q3", 0, 13), ("q4", 0, 5), ("q1", 0, 25), ("q3", 13, 25)]
+    for qid, lo, hi in calls:
+        batch = pools[qid][lo:hi]
+        got = scorer.score_batch(qid, texts[qid], batch)
+        assert got == Bm25Scorer(index, params).score_batch(qid, texts[qid], batch), (qid, lo)
+        retrieved = dict(bm25_retrieve(index, params, qid, texts[qid], len(corpus)).pairs())
+        assert got == [retrieved.get(docid, 0.0) for docid in batch], (qid, lo)
+
+
+def test_bm25_scorer_keeps_less_than_a_score_array_per_query():
+    # every doc holds at least 20 distinct terms, so a per-posting array
+    # outweighs four float64 per doc
+    rng = random.Random(31)
+    vocab = [f"t{i}" for i in range(200)]
+    corpus = [(f"d{i}", " ".join(rng.sample(vocab, 24))) for i in range(500)]
+    index = index_corpus(corpus)
+    params = Bm25Params()
+    bm25_retrieve(index, params, "q0", "t1", 10)  # the weights are built and cached here
+    docids = [docid for docid, _ in corpus]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        scorer = Bm25Scorer(index, params)
+        for qid, text in (("q1", "t1 t2 t3"), ("q2", "t4 t5")):
+            for lo in range(0, 64, 16):
+                scorer.score_batch(qid, text, docids[lo : lo + 16])
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 4 * 8 * index.n_docs, kept
 
 
 def test_bm25_scorer_unknown_docid():
