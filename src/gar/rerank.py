@@ -7,13 +7,12 @@ by the first stage can still reach the scorer within the same budget.
 
 from __future__ import annotations
 
-import collections
 import hashlib
 import heapq
 import itertools
 import math
 import operator
-import struct
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
@@ -21,7 +20,7 @@ from typing import Mapping, Protocol, Sequence
 import numpy as np
 
 from .formats import read_score_table, write_score_table
-from .graph import SENTINEL, CorpusGraph
+from .graph import CorpusGraph
 from .lexical import Bm25Params, InvertedIndex, bm25_scores, tokenize
 from .ranking import Ranking
 
@@ -32,10 +31,11 @@ BACKFILL_EPSILON = 1e-6
 
 Qrels = Mapping[str, Mapping[str, int]]
 
-# OracleScorer noise: a 16-byte digest as two big-endian words, 53 bits each
-_TWO_U64 = struct.Struct(">QQ")
-_2_POW_MINUS_53 = 2.0**-53
-_TWO_PI = 2.0 * math.pi
+# OracleScorer noise: a 16-byte digest as two big-endian words, 53 bits each,
+# which give u1 = (x + 1) * 2**-53 and 2 pi u2 = 2 pi * (y * 2**-53)
+_NOISE_SHIFT = np.uint64(11)
+_NOISE_SCALE = np.array([2.0**-53, 2.0 * math.pi * 2.0**-53])
+_NOISE_OFFSET = np.array([2.0**-53, 0.0])
 
 
 class Scorer(Protocol):
@@ -132,15 +132,18 @@ class OracleScorer:
         # the key prefix is hashed once per batch; a copy of that state
         # updated with the docid gives the digest of the whole key
         prefix = hashlib.blake2b(f"{self._seed}\x1f{qid}\x1f".encode("utf-8"), digest_size=16)
-        out = []
+        digests = []
         for docid in docids:
             key = prefix.copy()
             key.update(docid.encode("utf-8"))
-            x, y = _TWO_U64.unpack(key.digest())
-            u1 = ((x >> 11) + 1) * _2_POW_MINUS_53
-            u2 = (y >> 11) * _2_POW_MINUS_53
-            out.append(self._noise_sd * math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2))
-        return out
+            digests.append(key.digest())
+        # (u1, 2 pi u2) per doc, equal to the docstring's Python arithmetic:
+        # the integers are below 2**53 and scaling by a power of two is
+        # exact; log, sqrt and cos stay libm's, one value at a time
+        words = np.frombuffer(b"".join(digests), dtype=">u8").reshape(-1, 2) >> _NOISE_SHIFT
+        pairs = (words * _NOISE_SCALE + _NOISE_OFFSET).tolist()
+        sd = self._noise_sd
+        return [sd * math.sqrt(-2.0 * math.log(u1)) * math.cos(angle) for u1, angle in pairs]
 
 
 class Bm25Scorer:
@@ -213,6 +216,27 @@ def backfill(base: float, n: int) -> np.ndarray:
     return np.array(steps)
 
 
+# Each thread keeps one frontier numbering array between queries; see _numbering_array.
+_numbering = threading.local()
+
+
+def _numbering_array(n_docs: int, n_slots: int) -> np.ndarray:
+    """The thread's array of first-insertion numbers for a graph of n_docs
+    docs and n_slots edge slots: at least n_docs + 1 entries, every one at the
+    dtype's maximum (unseen).
+
+    It is taken from the thread's cache, which holds it only between queries:
+    a query that ends without resetting it (an exception) leaves the cache
+    empty, so the next query gets a fresh array, never a stale number.
+    """
+    dtype = np.dtype(np.int32 if n_slots < np.iinfo(np.int32).max else np.int64)
+    array = getattr(_numbering, "array", None)
+    _numbering.array = None
+    if array is None or len(array) <= n_docs or array.dtype != dtype:
+        array = np.full(n_docs + 1, np.iinfo(dtype).max, dtype)
+    return array
+
+
 def _rerank(
     r0: Ranking,
     scorer: Scorer,
@@ -236,23 +260,29 @@ def _rerank(
 
     scored: set[int] = set()
     via: dict[int, str] = {}  # frontier doc -> the docid of the scored doc that surfaced it
-    # Frontier: a heap of sources, one entry per scored graph doc, keyed by
-    # (-score, seq, arrival) and holding the doc's docid and neighbour row.
-    # `first` numbers each doc where it first appears in a scored doc's row,
-    # which orders frontier docs by first insertion, and `arrival` numbers
-    # sources in scoring order. A source enters with seq -1 and its row as
-    # stored; the first time it reaches the top, its unscored neighbours are
-    # sorted by first insertion, and from then on seq is the number of the
-    # next one. Taking the top source's next neighbour pops docs by priority
-    # (the highest score among a doc's sources) descending, then first
-    # insertion, from the earliest-scored source of that priority: a strictly
-    # higher rediscovery takes over the score and the source, and the doc
-    # keeps its place. A neighbour drawn meanwhile through another source or
-    # the pool is skipped when reached, so seq may lag, never lead.
-    heap: list[tuple[float, int, int, str, list[int]]] = []
-    first: dict[int, int] = {}
-    numbers = itertools.count()
-    arrival = itertools.count()
+    # Frontier: a heap of sources, one entry per scored graph doc with a
+    # neighbour, keyed by (-score, seq, arrival); arrival is the source's
+    # place in scoring order. `first` numbers each doc where it first appears
+    # in a scored doc's row, expansion index * k + column, which orders
+    # frontier docs by first insertion; each scored batch is numbered in one
+    # step. A source enters without its row and with the smallest number in
+    # that row as seq. Its row is read only when it first reaches the top:
+    # then its unscored neighbours are sorted by number, and from then on seq
+    # is the number of the next one. Seq is never above the number of the
+    # source's next unscored neighbour, so taking the top source's next
+    # neighbour pops docs by priority (the highest score among a doc's
+    # sources) descending, then first insertion, from the earliest-scored
+    # source of that priority: a strictly higher rediscovery takes over the
+    # score and the source, and the doc keeps its place. A neighbour drawn
+    # meanwhile through another source or the pool is skipped when reached.
+    heap: list[tuple[float, int, int, list[tuple[int, int]] | None]] = []
+    if expand:
+        edges = graph.edges
+        first = _numbering_array(n_docs, edges.size)
+        unseen = int(np.iinfo(first.dtype).max)
+        spare = len(first) - 1  # the slot every sentinel is clipped to; stays unseen
+        numbered = 0
+        touched: list[np.ndarray] = []
     cursor = 0
     # every scored doc, its docid and its score, in scoring order
     docs: list[int] = []
@@ -278,16 +308,19 @@ def _rerank(
     def draw_frontier(want: int) -> tuple[list[int], list[str]]:
         batch: list[int] = []
         while heap and len(batch) < want:
-            negscore, next_seq, arrived, source, row = heap[0]
-            if next_seq < 0:
-                row = sorted(itertools.filterfalse(scored.__contains__, row), key=first.__getitem__, reverse=True)
+            negscore, seq, arrived, row = heap[0]
+            if row is None:
+                # (number, doc) pairs, the next one last; sentinels read as unseen
+                ids = edges[docs[arrived]]
+                pairs = zip(first.take(ids, mode="clip").tolist(), ids.tolist())
+                row = sorted([pair for pair in pairs if pair[0] != unseen and pair[1] not in scored], reverse=True)
             else:
-                doc = row.pop()
+                doc = row.pop()[1]
                 if doc not in scored and doc not in via:
                     batch.append(doc)
-                    via[doc] = source
+                    via[doc] = docids[arrived]
             if row:
-                heapq.heapreplace(heap, (negscore, first[row[-1]], arrived, source, row))
+                heapq.heapreplace(heap, (negscore, row[-1][0], arrived, row))
             else:
                 heapq.heappop(heap)
         return batch, graph.docmap.names(batch) if batch else []
@@ -316,29 +349,48 @@ def _rerank(
                 if not math.isfinite(score):
                     raise ValueError(f"scorer returned non-finite score {score!r} for query {qid!r} doc {docid!r}")
         scored.update(batch)
+        arrived = len(docs)
         docs += batch
         docids += names
         scores += got
         if expand:
-            expanding = [(doc, docid, score) for doc, docid, score in zip(batch, names, got) if doc < n_docs]
-            rows = graph.edges.take([doc for doc, _, _ in expanding], axis=0).tolist()
-            # number every neighbour not seen before, in one pass at C level
-            collections.deque(map(first.setdefault, itertools.chain.from_iterable(rows), numbers), 0)
-            for (doc, docid, score), row in zip(expanding, rows):
-                if row[-1] == SENTINEL:
-                    row = row[: row.index(SENTINEL)]
-                if row:
-                    heapq.heappush(heap, (-score, -1, next(arrival), docid, row))
+            # number the batch's rows in one step: a doc keeps its smallest position
+            expanding = [i for i, doc in enumerate(batch) if doc < n_docs]
+            rows = edges.take([batch[i] for i in expanding], axis=0).ravel()
+            slots = np.minimum(rows, spare, dtype=np.intp)
+            np.minimum.at(first, slots, np.arange(numbered, numbered + slots.size, dtype=first.dtype))
+            first[spare] = unseen
+            numbered += slots.size
+            touched.append(slots)
+            seqs = np.minimum.reduce(first.take(slots).reshape(-1, graph.k), axis=1).tolist()
+            for i, seq in zip(expanding, seqs):
+                if seq != unseen:
+                    heapq.heappush(heap, (-got[i], seq, arrived + i, None))
         pool_is_initial = not pool_is_initial
+    if expand:
+        # the array goes back to the thread only once it is clean again
+        for slots in touched:
+            first[slots] = unseen
+        _numbering.array = first
 
     # the scored block by (score desc, docid asc), then the backfilled rest of the pool
-    negscores, block_ids, block_docs = zip(*sorted(zip(map(operator.neg, scores), docids, docs)))
+    values = np.array(scores)
+    rank = np.argsort(np.negative(values), kind="stable")
+    block_scores = values[rank]
+    if (block_scores[1:] < block_scores[:-1]).all():
+        rank = rank.tolist()
+        block_ids = tuple(map(docids.__getitem__, rank))
+        block_docs = tuple(map(docs.__getitem__, rank))
+    else:
+        # equal scores (0.0 and -0.0 among them) are ordered by docid
+        negscores, block_ids, block_docs = zip(*sorted(zip(map(operator.neg, scores), docids, docs)))
+        block_scores = np.negative(negscores)
     remainder = tuple(itertools.filterfalse(set(block_ids).__contains__, order[cursor:]))
     n = len(remainder)
     return Ranking(
         qid,
         block_ids + remainder,
-        np.concatenate((np.negative(negscores), backfill(-negscores[-1], n))),
+        np.concatenate((block_scores, backfill(float(block_scores[-1]), n))),
         sources=tuple(map(via.get, block_docs)) + (None,) * n,
     )
 

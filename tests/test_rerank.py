@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import math
 import random
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from gar import (
     write_trace,
 )
 from gar.ranking import provenance_of
-from gar.rerank import backfill
+from gar.rerank import _numbering_array, backfill
 from oracles import closure, reference_backfill, reference_rerank
 from synthdata import (
     CountingScorer,
@@ -80,6 +82,18 @@ def test_rerank_orders_ties_by_str_with_trailing_nul():
     out = typical_rerank(r0, MapScorer(scores), ReRankConfig(batch_size=4, budget=3))
     assert out.docids() == ["a", "a\x00", "b", "c"]
     want = reference_rerank(pool, lambda batch: [scores[d] for d in batch], {}, 4, 3)
+    assert [(e.docid, e.score, e.provenance, e.source) for e in out] == want
+
+
+def test_rerank_orders_signed_zero_ties_by_docid():
+    # 0.0 == -0.0, so the docid decides; each doc keeps its own zero
+    pool = ["b", "a", "c", "d"]
+    r0 = Ranking.from_pairs("q", [(d, float(4 - i)) for i, d in enumerate(pool)])
+    scores = {"b": 0.0, "a": -0.0, "c": 1.0, "d": -1.0}
+    out = typical_rerank(r0, MapScorer(scores), ReRankConfig(batch_size=4, budget=4))
+    assert out.docids() == ["c", "a", "b", "d"]
+    assert [math.copysign(1.0, score) for score in out.scores()] == [1.0, -1.0, 1.0, -1.0]
+    want = reference_rerank(pool, lambda batch: [scores[d] for d in batch], {}, 4, 4)
     assert [(e.docid, e.score, e.provenance, e.source) for e in out] == want
 
 
@@ -679,6 +693,86 @@ def test_rerank_threads_share_one_graph():
         assert len(runs) == 6, name
         for qid, entries, batches in runs:
             assert (entries, batches) == fresh[qid], (name, qid)
+
+
+def _reranked_as_reference(graph, pool, config):
+    """gar_rerank's entries and batches on one pool, and the reference
+    model's, which keeps no state between calls."""
+    docids = graph.docmap.ids
+    neighbours = {docid: [docids[nb] for nb in graph.neighbours(doc)] for doc, docid in enumerate(docids)}
+    r0 = Ranking.from_pairs("q", [(d, float(len(pool) - i)) for i, d in enumerate(pool)])
+    counting = CountingScorer(HashScorer())
+    out = gar_rerank(r0, counting, graph, config)
+    batches = []
+
+    def score(batch):
+        batches.append(list(batch))
+        return HashScorer().score_batch("q", "", batch)
+
+    want = reference_rerank(pool, score, neighbours, config.batch_size, config.budget)
+    return ([(e.docid, e.score, e.provenance, e.source) for e in out], counting.batches), (want, batches)
+
+
+def test_rerank_keeps_no_number_across_graph_sizes():
+    # one thread re-ranks on a 300-doc graph, a 2,000-doc graph, then the
+    # 300-doc graph again; the numbering array it keeps between queries
+    # grows for the larger graph and serves the smaller one after it
+    rng = random.Random(12)
+    small = random_graph(rng, [f"g{i}" for i in range(300)], k=8)
+    large = random_graph(rng, [f"g{i}" for i in range(2000)], k=8)
+    pools = {graph: rng.sample(graph.docmap.ids, 60) for graph in (small, large)}
+    config = ReRankConfig(batch_size=4, budget=150)
+    for graph in (small, large, small):
+        got, want = _reranked_as_reference(graph, pools[graph], config)
+        assert got == want, graph.n_docs
+
+
+def test_rerank_interrupted_query_leaves_no_stale_number():
+    class Interrupt(BaseException):
+        pass
+
+    class InterruptsOnFifthBatch(CountingScorer):
+        def score_batch(self, qid, query, docids):
+            if len(self.batches) == 4:
+                raise Interrupt
+            return super().score_batch(qid, query, docids)
+
+    rng = random.Random(13)
+    graph = random_graph(rng, [f"g{i}" for i in range(300)], k=8)
+    config = ReRankConfig(batch_size=4, budget=120)
+    other = Ranking.from_pairs("qx", [(d, float(-i)) for i, d in enumerate(rng.sample(graph.docmap.ids, 60))])
+    with pytest.raises(Interrupt):
+        gar_rerank(other, InterruptsOnFifthBatch(HashScorer()), graph, config)
+    got, want = _reranked_as_reference(graph, rng.sample(graph.docmap.ids, 60), config)
+    assert got == want
+
+
+def test_rerank_allocates_no_numbering_array_per_query():
+    # the array of n_docs + 1 numbers is allocated by a thread's first query
+    # on the graph, and later queries reuse it
+    n = 200_000
+    edges = np.full((n, 2), SENTINEL, dtype=np.uint32)
+    edges[:, 0] = (np.arange(n) + 1) % n
+    edges[:, 1] = (np.arange(n) + 2) % n
+    graph = CorpusGraph(edges, DocMap([f"d{i}" for i in range(n)]))
+    r0 = Ranking.from_pairs("q", [(f"d{i}", float(-i)) for i in range(0, 4000, 40)])
+    config = ReRankConfig(batch_size=8, budget=200)
+    first = gar_rerank(r0, HashScorer(), graph, config)
+    tracemalloc.start()
+    try:
+        second = gar_rerank(r0, HashScorer(), graph, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert list(second) == list(first)
+    assert peak < 4 * (n + 1) / 2
+
+
+def test_numbering_array_widens_where_int32_numbers_could_overflow():
+    # a number is below the graph's edge slots, and unseen is the dtype's maximum
+    assert _numbering_array(3, 2**31 - 2).dtype == np.int32
+    wide = _numbering_array(3, 2**31 - 1)
+    assert wide.dtype == np.int64 and len(wide) == 4 and (wide == np.iinfo(np.int64).max).all()
 
 
 def test_rerank_run_handles_multiple_queries():
