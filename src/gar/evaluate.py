@@ -136,13 +136,12 @@ def judged_at(run: Run, qrels: Qrels, k: int = 10) -> MetricValues:
 def metric_fn(spec: str, gain: str = "exp") -> Callable[[Run, Qrels], MetricValues]:
     """Resolve a metric spec like 'ndcg', 'ndcg@10', 'map', 'recall@100',
     'rr@10', or 'judged@10' to a callable over (run, qrels)."""
-    name, _, cut = spec.partition("@")
+    name, sep, cut = spec.partition("@")
     cutoff = None
-    if cut:
-        try:
-            cutoff = int(cut)
-        except ValueError:
-            raise ValueError(f"bad metric cutoff in {spec!r}") from None
+    if sep:
+        if not (cut.isascii() and cut.isdigit()):
+            raise ValueError(f"bad metric cutoff in {spec!r}")
+        cutoff = int(cut)
         if cutoff < 1:
             raise ValueError(f"metric cutoff must be positive in {spec!r}")
     if name == "ndcg":

@@ -54,8 +54,8 @@ class Bm25Params:
     b: float = 0.4
 
     def __post_init__(self) -> None:
-        if self.k1 < 0:
-            raise ValueError(f"k1 must be non-negative, got {self.k1}")
+        if not (math.isfinite(self.k1) and self.k1 >= 0):
+            raise ValueError(f"k1 must be finite and non-negative, got {self.k1}")
         if not 0.0 <= self.b <= 1.0:
             raise ValueError(f"b must lie in [0, 1], got {self.b}")
 

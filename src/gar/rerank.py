@@ -11,7 +11,7 @@ import hashlib
 import heapq
 import itertools
 import math
-import operator
+import struct
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,12 +30,6 @@ from .ranking import Ranking
 BACKFILL_EPSILON = 1e-6
 
 Qrels = Mapping[str, Mapping[str, int]]
-
-# OracleScorer noise: a 16-byte digest as two big-endian words, 53 bits each,
-# which give u1 = (x + 1) * 2**-53 and 2 pi u2 = 2 pi * (y * 2**-53)
-_NOISE_SHIFT = np.uint64(11)
-_NOISE_SCALE = np.array([2.0**-53, 2.0 * math.pi * 2.0**-53])
-_NOISE_OFFSET = np.array([2.0**-53, 0.0])
 
 
 class Scorer(Protocol):
@@ -132,18 +126,16 @@ class OracleScorer:
         # the key prefix is hashed once per batch; a copy of that state
         # updated with the docid gives the digest of the whole key
         prefix = hashlib.blake2b(f"{self._seed}\x1f{qid}\x1f".encode("utf-8"), digest_size=16)
-        digests = []
+        sd = self._noise_sd
+        noise = []
         for docid in docids:
             key = prefix.copy()
             key.update(docid.encode("utf-8"))
-            digests.append(key.digest())
-        # (u1, 2 pi u2) per doc, equal to the docstring's Python arithmetic:
-        # the integers are below 2**53 and scaling by a power of two is
-        # exact; log, sqrt and cos stay libm's, one value at a time
-        words = np.frombuffer(b"".join(digests), dtype=">u8").reshape(-1, 2) >> _NOISE_SHIFT
-        pairs = (words * _NOISE_SCALE + _NOISE_OFFSET).tolist()
-        sd = self._noise_sd
-        return [sd * math.sqrt(-2.0 * math.log(u1)) * math.cos(angle) for u1, angle in pairs]
+            x, y = struct.unpack(">QQ", key.digest())
+            u1 = ((x >> 11) + 1) * 2**-53
+            u2 = (y >> 11) * 2**-53
+            noise.append(sd * math.sqrt(-2.0 * math.log(u1)) * math.cos(2 * math.pi * u2))
+        return noise
 
 
 class Bm25Scorer:
@@ -373,18 +365,18 @@ def _rerank(
             first[slots] = unseen
         _numbering.array = first
 
-    # the scored block by (score desc, docid asc), then the backfilled rest of the pool
+    # the scored block by score descending; each run of equal scores (0.0 and
+    # -0.0 among them) by docid, every doc keeping its own score
     values = np.array(scores)
     rank = np.argsort(np.negative(values), kind="stable")
+    ordered = values[rank]
+    flips = np.flatnonzero(np.diff(np.concatenate(([False], ordered[1:] == ordered[:-1], [False]))))
+    rank = rank.tolist()
+    for lo, hi in zip(flips[::2].tolist(), flips[1::2].tolist()):
+        rank[lo : hi + 1] = sorted(rank[lo : hi + 1], key=docids.__getitem__)
     block_scores = values[rank]
-    if (block_scores[1:] < block_scores[:-1]).all():
-        rank = rank.tolist()
-        block_ids = tuple(map(docids.__getitem__, rank))
-        block_docs = tuple(map(docs.__getitem__, rank))
-    else:
-        # equal scores (0.0 and -0.0 among them) are ordered by docid
-        negscores, block_ids, block_docs = zip(*sorted(zip(map(operator.neg, scores), docids, docs)))
-        block_scores = np.negative(negscores)
+    block_ids = tuple(map(docids.__getitem__, rank))
+    block_docs = tuple(map(docs.__getitem__, rank))
     remainder = tuple(itertools.filterfalse(set(block_ids).__contains__, order[cursor:]))
     n = len(remainder)
     return Ranking(

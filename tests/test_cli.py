@@ -415,6 +415,12 @@ def test_cli_error_paths(workdir, capsys):
     assert rc == 2
     assert "needs a cutoff" in err(capsys)
 
+    report = workdir / "report.tsv"
+    rc = run_cli("evaluate", "--run", run0, "--qrels", qrels, "--metrics", "ndcg@", "--out", report)
+    assert rc == 2
+    assert "bad metric cutoff in 'ndcg@'" in err(capsys)
+    assert not report.exists()
+
     rc = run_cli("build-graph", "--method", "dense", "--out", workdir / "g.bin")
     assert rc == 2
     assert "needs --vectors" in err(capsys)
@@ -432,6 +438,20 @@ def test_cli_error_paths(workdir, capsys):
     rc = run_cli("evaluate", "--run", workdir, "--qrels", qrels)
     assert rc == 2
     assert err(capsys) == f"error: Is a directory: {workdir}\n"
+
+
+def test_bm25_commands_reject_a_non_finite_k1(workdir, capsys):
+    corpus = workdir / "corpus.tsv"
+    out = workdir / "out.bin"
+    for k1 in ("nan", "inf", "-inf"):
+        for command in (
+            ("retrieve", "--corpus", corpus, "--queries", workdir / "queries.tsv"),
+            ("build-graph", "--method", "bm25", "--corpus", corpus, "--k", "2"),
+        ):
+            rc = run_cli(*command, f"--bm25-k1={k1}", "--out", out)
+            assert rc == 2
+            assert f"k1 must be finite and non-negative, got {k1}" in err(capsys)
+            assert not out.exists()
 
 
 def test_retrieve_refuses_what_the_run_reader_would_split(workdir, capsys):

@@ -176,6 +176,9 @@ def test_metric_fn_rejects_bad_specs():
     for bad in ["recall", "rr", "judged", "map@10", "ndcg@x", "ndcg@0", "bogus", "bogus@5"]:
         with pytest.raises(ValueError):
             metric_fn(bad)
+    for bad in ["ndcg@", "map@", "ndcg@10_0", "ndcg@ 10", "ndcg@+10", "ndcg@10 ", "recall@\u0661\u0660"]:
+        with pytest.raises(ValueError, match="bad metric cutoff"):
+            metric_fn(bad)
 
 
 # --- randomized comparison against reference implementations ---------------------

@@ -76,8 +76,9 @@ def test_default_params():
 
 
 def test_param_validation():
-    with pytest.raises(ValueError, match="k1"):
-        Bm25Params(k1=-0.1)
+    for k1 in (-0.1, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"k1 must be finite and non-negative, got {k1}"):
+            Bm25Params(k1=k1)
     with pytest.raises(ValueError, match="b must lie"):
         Bm25Params(b=1.5)
 
