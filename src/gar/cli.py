@@ -24,7 +24,6 @@ from .lexical import Bm25BlockTopk, Bm25Params, DenseVectors, InvertedIndex, bm2
 # wraps each by its name here, finds them. The graph builds call both from
 # gar.lexical, so those wraps count nothing on any workload.
 from .lexical import bm25_doc_topk, dense_topk  # noqa: F401
-from .ranking import Ranking
 from .rerank import Bm25Scorer, OracleScorer, ReRankConfig, ScoreCache, Scorer, rerank_run
 
 DEFAULT_METRICS = "ndcg,ndcg@10,map,recall@1000,rr@10,judged@10"
@@ -61,9 +60,12 @@ def _make_scorer(args: argparse.Namespace) -> Scorer:
     raise ValueError(f"unknown scorer {spec!r}; use cache:<path>, bm25, or oracle:<qrels>")
 
 
-def _read_pools(path: str) -> dict[str, Ranking]:
-    """The initial `Ranking` of every query in a run file."""
-    return {qid: Ranking.from_pairs(qid, pairs) for qid, pairs in formats.read_run(path).items()}
+def _metric_specs(raw: str) -> list[str]:
+    """The metric specs of a comma-separated list, blanks dropped; at least one."""
+    specs = [spec.strip() for spec in raw.split(",") if spec.strip()]
+    if not specs:
+        raise ValueError("no metrics given")
+    return specs
 
 
 def _query_texts(args: argparse.Namespace, pools: dict) -> dict[str, str]:
@@ -110,7 +112,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
 
 
 def cmd_rerank(args: argparse.Namespace) -> int:
-    pools = _read_pools(args.run_in)
+    pools = formats.read_run(args.run_in)
     scorer = _make_scorer(args)
     texts = _query_texts(args, pools)
     config = ReRankConfig(batch_size=args.batch_size, budget=args.budget)
@@ -128,13 +130,11 @@ def cmd_rerank(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    specs = _metric_specs(args.metrics)
     run = formats.read_run(args.run)
     qrels = formats.read_qrels(args.qrels)
     results: dict[str, eval_mod.MetricValues] = {}
-    for spec in args.metrics.split(","):
-        spec = spec.strip()
-        if not spec:
-            continue
+    for spec in specs:
         if spec == "ils":
             if not args.vectors:
                 raise ValueError("metric ils needs --vectors")
@@ -193,13 +193,13 @@ def _judged_internal(docmap: DocMap, qrels: eval_mod.Qrels) -> Callable[[str], i
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    pools = _read_pools(args.run_in)
+    metrics = _metric_specs(args.metrics)
+    pools = formats.read_run(args.run_in)
     qrels = formats.read_qrels(args.qrels)
     scorer = _make_scorer(args)
     texts = _query_texts(args, pools)
     graph = CorpusGraph.load(args.graph)
     config = ReRankConfig(batch_size=args.batch_size, budget=args.budget)
-    metrics = [spec.strip() for spec in args.metrics.split(",") if spec.strip()]
     rows = sweep_mod.sweep_parameter(
         args.vary, args.values, pools, scorer, graph, qrels, metrics, config, texts, args.gain
     )
@@ -212,7 +212,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    pools = _read_pools(args.run_in)
+    pools = formats.read_run(args.run_in)
     cache = ScoreCache.load(args.cache)
     graph = CorpusGraph.load(args.graph)
     report = bench_mod.latency_bench(

@@ -1,20 +1,24 @@
 """Ranking effectiveness metrics and corpus-structure diagnostics.
 
-Run lists are per-query ordered (docid, score) sequences; relevance labels
-are graded 0..3. Metric means average only over qualifying queries.
+A run maps each qid to a `Ranking`, as `formats.read_run` and the
+re-rankers return, or to an ordered (docid, score) sequence (transitional,
+with `Ranking.pairs()`). A metric reads each query's docids once, down to its
+cutoff, and no score. Relevance labels are graded 0..3. Metric means average
+only over qualifying queries.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
 from .lexical import DenseVectors
+from .ranking import Ranking
 
-Ranked = Sequence[tuple[str, float]]
+Ranked = Union[Ranking, Sequence[tuple[str, float]]]
 Run = Mapping[str, Ranked]
 Labels = Mapping[str, int]
 Qrels = Mapping[str, Labels]
@@ -31,16 +35,19 @@ class MetricValues:
 
 
 def _mean_over_queries(
-    name: str, run: Run, qrels: Qrels, value: Callable[[str, Ranked, Labels], float | None]
+    name: str, run: Run, qrels: Qrels, value: Callable[[str, Sequence[str], Labels], float | None], depth: int | None = None
 ) -> MetricValues:
-    """`value(qid, ranked, labels)` of every query in both run and qrels; a
-    query whose value is None does not qualify and stays out of the mean."""
+    """`value(qid, docids, labels)` of every query in both run and qrels, the
+    docids being the query's first `depth` (all if None); a query whose value
+    is None does not qualify and stays out of the mean."""
     qids = sorted(set(run) & set(qrels))
     if not qids:
         raise ValueError("run and qrels share no queries")
     per_query: dict[str, float] = {}
     for qid in qids:
-        result = value(qid, run[qid], qrels[qid])
+        ranked = run[qid]
+        docids = ranked.docids()[:depth] if isinstance(ranked, Ranking) else [docid for docid, _ in ranked[:depth]]
+        result = value(qid, docids, qrels[qid])
         if result is not None:
             per_query[qid] = result
     if not per_query:
@@ -64,15 +71,15 @@ def ndcg(run: Run, qrels: Qrels, cutoff: int | None = None, gain: str = "exp") -
     """
     gain_of = _gain_fn(gain)
 
-    def value(qid: str, ranked: Ranked, labels: Labels) -> float | None:
+    def value(qid: str, docids: Sequence[str], labels: Labels) -> float | None:
         ideal = sorted(labels.values(), reverse=True)[:cutoff]
         idcg = sum(gain_of(rel) / math.log2(pos + 1) for pos, rel in enumerate(ideal, 1))
         if idcg == 0.0:
             return None
-        gains = (gain_of(labels.get(docid, 0)) for docid, _ in ranked[:cutoff])
+        gains = (gain_of(labels.get(docid, 0)) for docid in docids)
         return sum(gain / math.log2(pos + 1) for pos, gain in enumerate(gains, 1)) / idcg
 
-    return _mean_over_queries("ndcg", run, qrels, value)
+    return _mean_over_queries("ndcg", run, qrels, value, cutoff)
 
 
 def _relevant(labels: Labels, min_rel: int) -> set[str]:
@@ -82,13 +89,13 @@ def _relevant(labels: Labels, min_rel: int) -> set[str]:
 def map_at(run: Run, qrels: Qrels, min_rel: int = 2) -> MetricValues:
     """Mean average precision with labels binarized at `min_rel`."""
 
-    def value(qid: str, ranked: Ranked, labels: Labels) -> float | None:
+    def value(qid: str, docids: Sequence[str], labels: Labels) -> float | None:
         relevant = _relevant(labels, min_rel)
         if not relevant:
             return None
         hits = 0
         total = 0.0
-        for pos, (docid, _) in enumerate(ranked, 1):
+        for pos, docid in enumerate(docids, 1):
             if docid in relevant:
                 hits += 1
                 total += hits / pos
@@ -100,37 +107,36 @@ def map_at(run: Run, qrels: Qrels, min_rel: int = 2) -> MetricValues:
 def recall_at(run: Run, qrels: Qrels, k: int = 1000, min_rel: int = 2) -> MetricValues:
     """Fraction of relevant docs retrieved in the top k."""
 
-    def value(qid: str, ranked: Ranked, labels: Labels) -> float | None:
+    def value(qid: str, docids: Sequence[str], labels: Labels) -> float | None:
         relevant = _relevant(labels, min_rel)
         if not relevant:
             return None
-        return sum(1 for docid, _ in ranked[:k] if docid in relevant) / len(relevant)
+        return sum(1 for docid in docids if docid in relevant) / len(relevant)
 
-    return _mean_over_queries("recall", run, qrels, value)
+    return _mean_over_queries("recall", run, qrels, value, k)
 
 
 def rr_at(run: Run, qrels: Qrels, k: int = 10, min_rel: int = 1) -> MetricValues:
     """Reciprocal rank of the first relevant doc within the top k, else 0."""
 
-    def value(qid: str, ranked: Ranked, labels: Labels) -> float | None:
+    def value(qid: str, docids: Sequence[str], labels: Labels) -> float | None:
         relevant = _relevant(labels, min_rel)
         if not relevant:
             return None
-        return next((1.0 / pos for pos, (docid, _) in enumerate(ranked[:k], 1) if docid in relevant), 0.0)
+        return next((1.0 / pos for pos, docid in enumerate(docids, 1) if docid in relevant), 0.0)
 
-    return _mean_over_queries("rr", run, qrels, value)
+    return _mean_over_queries("rr", run, qrels, value, k)
 
 
 def judged_at(run: Run, qrels: Qrels, k: int = 10) -> MetricValues:
     """Fraction of the top k retrieved docs that carry any judgment."""
 
-    def value(qid: str, ranked: Ranked, labels: Labels) -> float | None:
-        top = ranked[:k]
-        if not top:
+    def value(qid: str, docids: Sequence[str], labels: Labels) -> float | None:
+        if not docids:
             return None
-        return sum(1 for docid, _ in top if docid in labels) / len(top)
+        return sum(1 for docid in docids if docid in labels) / len(docids)
 
-    return _mean_over_queries("judged", run, qrels, value)
+    return _mean_over_queries("judged", run, qrels, value, k)
 
 
 def metric_fn(spec: str, gain: str = "exp") -> Callable[[Run, Qrels], MetricValues]:
@@ -216,8 +222,8 @@ def ils(
     """
     docmap = vectors.docmap
 
-    def value(qid: str, ranked: Ranked, labels: Labels) -> float | None:
-        rel_docs = [d for d, _ in ranked[:depth] if labels.get(d, 0) >= min_rel]
+    def value(qid: str, docids: Sequence[str], labels: Labels) -> float | None:
+        rel_docs = [d for d in docids if labels.get(d, 0) >= min_rel]
         if len(rel_docs) < 2:
             return None
         found = docmap.lookup(rel_docs)
@@ -228,4 +234,4 @@ def ils(
         upper = sims[np.triu_indices(len(rel_docs), k=1)]
         return float(np.clip(upper, -1.0, 1.0).mean())
 
-    return _mean_over_queries("ils", run, qrels, value)
+    return _mean_over_queries("ils", run, qrels, value, depth)

@@ -151,13 +151,15 @@ def write_qrels(path: str | Path, qrels: Mapping[str, Mapping[str, int]]) -> Non
 _RUN_BLOCK_CHARS = 1 << 16
 
 
-def read_run(path: str | Path) -> dict[str, list[tuple[str, float]]]:
+def read_run(path: str | Path) -> dict[str, Ranking]:
+    """The `Ranking` of every query in a TREC run file, in the file's order
+    of qids, each built from the parsed columns without a per-line tuple."""
     with open(path, "r", encoding="utf-8") as fh:
         runs = _read_run_columns(fh)
     return _read_run_rows(path) if runs is None else runs
 
 
-def _read_run_columns(fh: TextIO) -> dict[str, list[tuple[str, float]]] | None:
+def _read_run_columns(fh: TextIO) -> dict[str, Ranking] | None:
     """`read_run` of a file whose queries are each one block of lines, parsed
     by column, about _RUN_BLOCK_CHARS characters of whole lines at a time;
     None where the file needs the row reader: any non-ASCII text,
@@ -185,18 +187,25 @@ def _read_run_columns(fh: TextIO) -> dict[str, list[tuple[str, float]]] | None:
             return None
         if not chunk:
             break
-    ranks, scores = np.concatenate(ranks), np.concatenate(scores)
-    if not np.isfinite(scores).all():
+    # each query one block of lines with increasing ranks; the qid and rank
+    # columns go before the Rankings are built, which holds down the peak
+    counts = Counter(qids)
+    ends = np.cumsum(list(counts.values()), dtype=np.int64)
+    if any(qids[end - count : end].count(qid) != count for (qid, count), end in zip(counts.items(), ends.tolist())):
         return None
-    runs: dict[str, list[tuple[str, float]]] = {}
-    start = 0
-    for qid, count in Counter(qids).items():
-        end = start + count
-        group = docids[start:end]
-        if qids[start:end].count(qid) != count or len(set(group)) != count or (np.diff(ranks[start:end]) <= 0).any():
+    del qids
+    falls = np.diff(np.concatenate(ranks)) <= 0
+    falls[ends[:-1] - 1] = False  # where one query's block follows another's
+    del ranks
+    scores = np.concatenate(scores)
+    if falls.any() or not np.isfinite(scores).all():
+        return None
+    runs: dict[str, Ranking] = {}
+    for (qid, count), end in zip(counts.items(), ends.tolist()):
+        try:
+            runs[qid] = Ranking(qid, docids[end - count : end], scores[end - count : end])
+        except ValueError:  # a repeated docid
             return None
-        runs[qid] = list(zip(group, scores[start:end].tolist()))
-        start = end
     return runs
 
 
@@ -209,8 +218,8 @@ def _six_fields_per_line(text: str) -> bool:
     return not ((fields != 6) & ((fields != 0) | (np.diff(newlines) > 1))).any()
 
 
-def _read_run_rows(path: str | Path) -> dict[str, list[tuple[str, float]]]:
-    runs: dict[str, list[tuple[str, float]]] = {}
+def _read_run_rows(path: str | Path) -> dict[str, Ranking]:
+    columns: dict[str, tuple[list[str], list[float]]] = {}
     last_rank: dict[str, int] = {}
     seen: dict[str, set[str]] = {}
     for lineno, line in _lines(path):
@@ -231,8 +240,10 @@ def _read_run_rows(path: str | Path) -> dict[str, list[tuple[str, float]]]:
             raise ValueError(f"{path}: line {lineno}: duplicate doc {docid!r} for query {qid!r}")
         last_rank[qid] = rank
         seen[qid].add(docid)
-        runs.setdefault(qid, []).append((docid, score))
-    return runs
+        docids, scores = columns.setdefault(qid, ([], []))
+        docids.append(docid)
+        scores.append(score)
+    return {qid: Ranking(qid, docids, scores) for qid, (docids, scores) in columns.items()}
 
 
 def write_run(path: str | Path, rankings: Mapping[str, Ranking], tag: str = "gar") -> None:

@@ -73,7 +73,13 @@ class Ranking:
         self._sources = sources
 
     @classmethod
-    def from_pairs(cls, qid: str, pairs: Iterable[tuple[str, float]]) -> "Ranking":
+    def from_pairs(cls, qid: str, pairs: "Iterable[tuple[str, float]] | Ranking") -> "Ranking":
+        """A pool-only ranking of (docid, score) pairs in rank order. Given a
+        Ranking, an equal one under `qid`, as perfbench's gar-c1000 set-up needs
+        for `read_run`'s values; that branch and `pairs()` go once perfbench
+        uses the column constructor (ROADMAP item 7)."""
+        if isinstance(pairs, Ranking):
+            return cls(qid, pairs._docids, pairs._scores, sources=pairs._sources)
         docids, scores = tuple(zip(*pairs)) or ((), ())
         return cls(qid, docids, scores)
 

@@ -44,6 +44,8 @@ def sweep_parameter(
         raise ValueError(f"vary must be '{VARY_K}' or '{VARY_B}', got {vary!r}")
     if not values:
         raise ValueError("no sweep values given")
+    if not metrics:
+        raise ValueError("no metrics given")
     fns = {spec: metric_fn(spec, gain) for spec in metrics}
     rows: list[SweepRow] = []
     for value in values:
@@ -54,8 +56,7 @@ def sweep_parameter(
             swept_graph = graph
             swept_config = ReRankConfig(batch_size=value, budget=config.budget)
         rankings = rerank_run(pools, scorer, swept_config, swept_graph, query_texts)
-        run_out = {qid: ranking.pairs() for qid, ranking in rankings.items()}
-        rows.append(SweepRow(value, {spec: fns[spec](run_out, qrels).mean for spec in metrics}))
+        rows.append(SweepRow(value, {spec: fns[spec](rankings, qrels).mean for spec in metrics}))
     return rows
 
 

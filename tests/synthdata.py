@@ -24,6 +24,33 @@ from gar import SENTINEL, CorpusGraph, DocMap, Ranking, docmap_path
 AWKWARD_TEXT = st.text(st.sampled_from("ab \t\n\r\x0b\x1c\x85\xa0\u2028") | st.characters(), max_size=4)
 
 
+def run_pairs(runs: dict[str, Ranking]) -> dict[str, list[tuple[str, float]]]:
+    """Each query's ranking as (docid, score) pairs, the shape of
+    `oracles.reference_read_run`; every ranking must carry its own qid and,
+    as read from a run file, no source."""
+    for qid, ranking in runs.items():
+        assert ranking.qid == qid and set(ranking.sources()) <= {None}, qid
+    return {qid: ranking.pairs() for qid, ranking in runs.items()}
+
+
+# the seed of acceptance criterion 6's metric micro-instances
+CRITERION_6_SEED = 6006
+
+
+def metric_instances(seed: int, trials: int):
+    """(ranked docids, labels, cutoff) micro-instances of one query: 2..10
+    docids, a random prefix of a shuffle ranked, about 70 % of them judged 0..3
+    with at least one positive label, and a cutoff of 1..12."""
+    rng = random.Random(seed)
+    for _ in range(trials):
+        docids = [f"d{i}" for i in range(rng.randint(2, 10))]
+        ranked = rng.sample(docids, rng.randint(1, len(docids)))
+        labels = {d: rng.randint(0, 3) for d in docids if rng.random() < 0.7}
+        if not any(rel > 0 for rel in labels.values()):
+            labels[docids[0]] = rng.randint(1, 3)
+        yield ranked, labels, rng.randint(1, 12)
+
+
 def written_then_read(write: Callable[[Path, Any], None], read: Callable[[Path], Any], value: Any) -> Any:
     """What `read` gives back from the file `write` makes of `value`, or None
     where `write` refuses it with ValueError, having created no file."""

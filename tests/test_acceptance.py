@@ -57,11 +57,13 @@ from oracles import (
     reference_tokenize,
 )
 from synthdata import (
+    CRITERION_6_SEED,
     CountingScorer,
     HashScorer,
     MapScorer,
     bench_instance,
     edgeless_graph,
+    metric_instances,
     planted_instance,
     random_corpus,
     random_graph,
@@ -287,7 +289,6 @@ def test_criterion_05_graph_format_and_size(capsys, tmp_path):
 
 def test_criterion_06_metrics_match_reference(capsys):
     started = time.perf_counter()
-    rng = random.Random(6006)
     trials = 100
     max_diff = 0.0
     agreed = 0
@@ -297,15 +298,9 @@ def test_criterion_06_metrics_match_reference(capsys):
         max_diff = max(max_diff, abs(got - want))
         return abs(got - want) <= 1e-9
 
-    for _ in range(trials):
-        docids = [f"d{i}" for i in range(rng.randint(2, 10))]
-        ranked = rng.sample(docids, rng.randint(1, len(docids)))
-        labels = {d: rng.randint(0, 3) for d in docids if rng.random() < 0.7}
-        if not any(rel > 0 for rel in labels.values()):
-            labels[docids[0]] = rng.randint(1, 3)
+    for ranked, labels, cutoff in metric_instances(CRITERION_6_SEED, trials):
         run = {"q": [(d, float(len(ranked) - i)) for i, d in enumerate(ranked)]}
         qrels = {"q": labels}
-        cutoff = rng.randint(1, 12)
         ok = True
 
         ok &= diff(

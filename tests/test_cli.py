@@ -11,7 +11,6 @@ from gar import (
     DenseVectors,
     DocMap,
     CorpusGraph,
-    Ranking,
     bm25_doc_topk,
     build_graph,
     cluster_matrix,
@@ -27,7 +26,7 @@ from gar import (
 from gar import cli, lexical
 from gar.cli import main
 from oracles import bm25_all_scores
-from synthdata import random_corpus, write_garv
+from synthdata import random_corpus, run_pairs, write_garv
 
 CORPUS = [
     ("d0", "apple fruit crisp"),
@@ -81,7 +80,7 @@ def test_full_pipeline(workdir, capsys):
     )
     assert rc == 0
     assert "retrieved 2 queries" in capsys.readouterr().out
-    first = read_run(run0)
+    first = run_pairs(read_run(run0))
     assert list(first) == ["q1", "q2"]
     assert [d for d, _ in first["q1"]] == ["d0", "d1", "d2"]
     assert [d for d, _ in first["q2"]][0] == "d4"
@@ -96,7 +95,7 @@ def test_full_pipeline(workdir, capsys):
     rc = run_cli(*rerank_args)
     assert rc == 0
     assert "re-ranked 2 queries (gar, budget 4)" in capsys.readouterr().out
-    reranked = read_run(run1)
+    reranked = run_pairs(read_run(run1))
     docids = [d for d, _ in reranked["q1"]]
     assert docids[0] == "d0"
     assert set(docids[:3]) == {"d0", "d1", "d2"}
@@ -153,7 +152,7 @@ def test_full_pipeline(workdir, capsys):
     graph_obj = CorpusGraph.load(graph)
     from gar import OracleScorer
 
-    pools = {qid: Ranking.from_pairs(qid, pairs) for qid, pairs in read_run(run0).items()}
+    pools = read_run(run0)
     cache = precompute_cache(
         pools, OracleScorer({}, 0.5, seed=3), graph_obj,
         batch_size=2, max_budget=8,
@@ -339,7 +338,7 @@ def test_rerank_bm25_scorer_uses_query_texts(workdir, capsys):
     assert rc == 0
     capsys.readouterr()
     # re-scoring with the same model keeps the same winners
-    assert [d for d, _ in read_run(run1)["q1"]][0] == "d0"
+    assert [d for d, _ in run_pairs(read_run(run1))["q1"]][0] == "d0"
 
 
 def err(capsys):
@@ -438,6 +437,35 @@ def test_cli_error_paths(workdir, capsys):
     rc = run_cli("evaluate", "--run", workdir, "--qrels", qrels)
     assert rc == 2
     assert err(capsys) == f"error: Is a directory: {workdir}\n"
+
+
+@pytest.mark.parametrize("metrics", ["", ",", " , ,"])
+def test_evaluate_refuses_an_empty_metric_list(workdir, capsys, metrics):
+    run0, report = workdir / "run0.txt", workdir / "report.tsv"
+    run_cli("retrieve", "--corpus", workdir / "corpus.tsv", "--queries", workdir / "queries.tsv", "--out", run0)
+    capsys.readouterr()
+    rc = run_cli("evaluate", "--run", run0, "--qrels", workdir / "qrels.txt", "--metrics", metrics, "--out", report)
+    assert rc == 2
+    assert capsys.readouterr() == ("", "error: no metrics given\n")
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("metrics", ["", ",", " , ,"])
+def test_sweep_refuses_an_empty_metric_list(workdir, capsys, metrics):
+    run0, graph, table = workdir / "run0.txt", workdir / "graph.bin", workdir / "sweep.tsv"
+    run_cli("retrieve", "--corpus", workdir / "corpus.tsv", "--queries", workdir / "queries.tsv", "--out", run0)
+    run_cli("build-graph", "--method", "bm25", "--corpus", workdir / "corpus.tsv", "--k", "2", "--out", graph)
+    capsys.readouterr()
+    qrels = workdir / "qrels.txt"
+    with mock.patch("gar.sweep.rerank_run") as rerank_run:
+        rc = run_cli(
+            "sweep", "--vary", "k", "--values", "1,2", "--run-in", run0, "--graph", graph,
+            "--qrels", qrels, "--scorer", f"oracle:{qrels}", "--metrics", metrics, "--out", table,
+        )
+    assert rc == 2
+    assert capsys.readouterr() == ("", "error: no metrics given\n")
+    assert not table.exists()
+    rerank_run.assert_not_called()
 
 
 def test_bm25_commands_reject_a_non_finite_k1(workdir, capsys):

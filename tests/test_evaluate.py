@@ -9,6 +9,7 @@ import pytest
 from gar import (
     DenseVectors,
     DocMap,
+    Ranking,
     cluster_matrix,
     ils,
     judged_at,
@@ -25,6 +26,7 @@ from oracles import (
     reference_recall,
     reference_rr,
 )
+from synthdata import CRITERION_6_SEED, metric_instances
 
 
 def one_query_run(docids):
@@ -221,6 +223,47 @@ def test_metrics_match_reference_on_random_instances():
             else:
                 got = fn(run, qrels, **kwargs).per_query["q"]
                 assert got == pytest.approx(want, abs=1e-12), f"trial {trial} {fn}"
+
+
+def _outcome(fn, run, qrels, **kwargs):
+    """Each per-query value and the mean as float.hex, or the error raised."""
+    try:
+        values = fn(run, qrels, **kwargs)
+    except ValueError as exc:
+        return "error", str(exc)
+    return {qid: value.hex() for qid, value in values.per_query.items()}, values.mean.hex()
+
+
+def test_metrics_read_a_ranking_as_its_pairs():
+    # criterion 6's instances: bitwise the same values, or the same error
+    docids = [f"d{i}" for i in range(10)]
+    vectors = DenseVectors(np.random.default_rng(6).standard_normal((10, 4)), DocMap(docids))
+    for ranked, labels, cutoff in metric_instances(CRITERION_6_SEED, 100):
+        ranking = Ranking("q", ranked, [float(len(ranked) - i) for i in range(len(ranked))])
+        qrels = {"q": labels}
+        for fn, kwargs in [
+            (ndcg, {}),
+            (ndcg, {"cutoff": cutoff, "gain": "lin"}),
+            (map_at, {}),
+            (recall_at, {"k": cutoff}),
+            (rr_at, {"k": cutoff}),
+            (judged_at, {"k": cutoff}),
+            (ils, {"vectors": vectors}),
+            (ils, {"vectors": vectors, "min_rel": 1, "depth": cutoff}),
+        ]:
+            want = _outcome(fn, {"q": ranking.pairs()}, qrels, **kwargs)
+            assert _outcome(fn, {"q": ranking}, qrels, **kwargs) == want, (fn.__name__, kwargs)
+
+
+def test_cut_metrics_read_pairs_only_down_to_their_cutoff():
+    # what lies past the cutoff is never unpacked
+    run = {"q": [("a", 3.0), ("b", 2.0), None, None]}
+    qrels = {"q": {"a": 2, "b": 1}}
+    assert ndcg(run, qrels, 2).per_query["q"] == 1.0
+    assert recall_at(run, qrels, k=2).per_query["q"] == 1.0
+    assert rr_at(run, qrels, k=2).per_query["q"] == 1.0
+    assert judged_at(run, qrels, k=2).per_query["q"] == 1.0
+    assert ils(run, qrels, ils_vectors(), min_rel=1, depth=2).per_query["q"] == pytest.approx(1.0)
 
 
 # --- cluster matrix ---------------------------------------------------------------

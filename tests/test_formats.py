@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from gar import (
 from gar import formats
 from gar.formats import _read_run_columns
 from oracles import reference_read_run, reference_run_text, reference_trace_text
-from synthdata import AWKWARD_TEXT, written_then_read
+from synthdata import AWKWARD_TEXT, run_pairs, written_then_read
 
 
 def is_token(value: str) -> bool:
@@ -184,7 +185,7 @@ def test_run_round_trip(tmp_path):
     text = path.read_text()
     assert text == "q1 Q0 c 1 2.000000 mytag\nq2 Q0 a 1 1.500000 mytag\nq2 Q0 b 2 0.250000 mytag\n"
     back = read_run(path)
-    assert back == {"q1": [("c", 2.0)], "q2": [("a", 1.5), ("b", 0.25)]}
+    assert run_pairs(back) == {"q1": [("c", 2.0)], "q2": [("a", 1.5), ("b", 0.25)]}
 
 
 def test_run_default_tag(tmp_path):
@@ -233,7 +234,7 @@ def test_run_interleaved_qids_allowed(tmp_path):
     path.write_text(
         "q1 Q0 a 1 1.0 t\nq2 Q0 a 1 1.0 t\nq1 Q0 b 2 0.9 t\n"
     )
-    assert read_run(path) == {"q1": [("a", 1.0), ("b", 0.9)], "q2": [("a", 1.0)]}
+    assert run_pairs(read_run(path)) == {"q1": [("a", 1.0), ("b", 0.9)], "q2": [("a", 1.0)]}
 
 
 def test_run_read_errors_match_row_reference(tmp_path):
@@ -318,7 +319,10 @@ def _read_outcome(reader, path):
 def test_read_run_matches_row_reference(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "read_run.txt"
     path.write_bytes(text.encode("utf-8"))
-    assert _read_outcome(read_run, path) == _read_outcome(reference_read_run, path)
+    want = _read_outcome(reference_read_run, path)
+    assert _read_outcome(lambda path: run_pairs(read_run(path)), path) == want
+    # the row reader, which the column route falls back to, on every file
+    assert _read_outcome(lambda path: run_pairs(formats._read_run_rows(path)), path) == want
 
 
 def test_read_run_parses_well_formed_files_by_column(tmp_path):
@@ -328,7 +332,7 @@ def test_read_run_parses_well_formed_files_by_column(tmp_path):
     path.write_text(text)
     with open(path, encoding="utf-8") as fh:
         assert _read_run_columns(fh) is not None
-    assert repr(read_run(path)) == repr(reference_read_run(path))
+    assert repr(run_pairs(read_run(path))) == repr(reference_read_run(path))
     interleaved = "q1 Q0 a 1 1.0 t\nq2 Q0 b 2 1.0 t\nq1 Q0 c 3 0.9 t\n"
     assert _read_run_columns(io.StringIO(interleaved)) is None
 
@@ -341,7 +345,7 @@ def test_read_run_column_blocks_may_end_anywhere(tmp_path, monkeypatch, block_ch
     path.write_text("".join(lines))
     with open(path, encoding="utf-8") as fh:
         assert _read_run_columns(fh) is not None
-    assert repr(read_run(path)) == repr(reference_read_run(path))
+    assert repr(run_pairs(read_run(path))) == repr(reference_read_run(path))
     path.write_text("".join(lines[:-1]) + "q3 Q0 d1 51 x t\n")
     with pytest.raises(ValueError, match="line 200: bad rank or score"):
         read_run(path)
@@ -350,10 +354,32 @@ def test_read_run_column_blocks_may_end_anywhere(tmp_path, monkeypatch, block_ch
 def test_read_run_keeps_docids_that_differ_by_a_trailing_nul(tmp_path):
     path = tmp_path / "run.txt"
     path.write_text("q Q0 a\x00 1 2.0 t\nq Q0 a 2 1.0 t\n")
-    assert read_run(path) == {"q": [("a\x00", 2.0), ("a", 1.0)]}
+    assert run_pairs(read_run(path)) == {"q": [("a\x00", 2.0), ("a", 1.0)]}
     path.write_text("q Q0 a\x00 1 2.0 t\nq Q0 a\x00 2 1.0 t\n")
     with pytest.raises(ValueError, match=r"line 2: duplicate doc 'a\\x00'"):
         read_run(path)
+
+
+def test_read_run_holds_no_pair_per_line(tmp_path):
+    # 100 queries of 1,000 docs each, drawn from a million; a (docid, score)
+    # tuple and a float per line took the peak to about 180 bytes a line
+    rng = np.random.default_rng(20)
+    path = tmp_path / "run.txt"
+    rankings = {}
+    for q in range(100):
+        docids = [f"d{doc}" for doc in rng.choice(1_000_000, 1000, replace=False)]
+        rankings[f"q{q}"] = Ranking(f"q{q}", docids, np.sort(rng.uniform(5.0, 30.0, 1000))[::-1])
+    write_run(path, rankings, "bm25")
+    del rankings
+    tracemalloc.start()
+    try:
+        runs = read_run(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    lines = sum(map(len, runs.values()))
+    assert lines == 100_000
+    assert peak < 140 * lines, f"{peak / lines:.0f} bytes a line"
 
 
 @pytest.mark.parametrize("score", [float("nan"), float("inf"), float("-inf")])
@@ -389,7 +415,7 @@ def test_write_run_rejects_tokens_read_run_would_split(tmp_path, qid, docids, ta
     pairs = [(docid, 1.0) for docid in docids]
     path.write_text(reference_run_text({qid: pairs}, tag), encoding="utf-8")
     try:
-        back = read_run(path)
+        back = run_pairs(read_run(path))
     except ValueError:
         back = None
     assert back != {qid: pairs}

@@ -60,6 +60,17 @@ def test_ranking_basics():
     assert [e.docid for e in r] == ["a", "b"]
 
 
+def test_from_pairs_of_a_ranking_is_an_equal_ranking():
+    ranking = Ranking("q", ["a", "b", "c"], [2.0, -0.0, -1.5], sources=[None, "a", "a"])
+    copy = Ranking.from_pairs("q2", ranking)
+    assert copy.qid == "q2"
+    assert copy.docids() == ranking.docids()
+    assert copy.scores().tobytes() == ranking.scores().tobytes()
+    assert not copy.scores().flags.writeable
+    assert copy.sources() == ranking.sources()
+    assert Ranking.from_pairs("q", Ranking("q", [], [])).pairs() == []
+
+
 def test_ranking_rejects_duplicates():
     with pytest.raises(ValueError, match="duplicate docid"):
         Ranking.from_pairs("q", [("a", 2.0), ("a", 1.0)])

@@ -13,7 +13,7 @@ from gar import (
     sweep_parameter,
     write_sweep_table,
 )
-from synthdata import HashScorer, edgeless_graph
+from synthdata import CountingScorer, HashScorer, edgeless_graph
 
 
 def chain_graph():
@@ -108,3 +108,10 @@ def test_write_sweep_table(tmp_path):
     path = tmp_path / "sweep.tsv"
     write_sweep_table(path, "k", rows, ["recall@3"])
     assert path.read_text() == "k\trecall@3\n1\t0.500000\n2\t1.000000\n"
+
+
+def test_sweep_refuses_an_empty_metric_list():
+    scorer = CountingScorer(OracleScorer(QRELS))
+    with pytest.raises(ValueError, match="no metrics given"):
+        sweep_parameter("k", [1, 2], POOLS, scorer, chain_graph(), QRELS, [], ReRankConfig(batch_size=1, budget=3))
+    assert scorer.batches == []
