@@ -398,7 +398,9 @@ def read_trace(path: str | Path) -> list[TraceRow]:
 
 
 def write_metric_report(path: str | Path, results: Mapping[str, MetricValues]) -> None:
-    """One row per (metric, query) plus an 'all' row holding each mean."""
+    """One row per (metric, query) plus an 'all' row holding each mean, so no query may be named 'all'."""
+    if any("all" in values.per_query for values in results.values()):
+        raise ValueError(f"{path}: query id 'all' is the name of the mean rows")
     with open(path, "w", encoding="utf-8") as fh:
         for metric in sorted(results):
             values = results[metric]

@@ -372,11 +372,7 @@ class Bm25BlockTopk:
     0/1 term indicators times the dense weight rows of those terms (at most
     _BM25_HEAD_BYTES of them, none at all if one row is larger); every other
     posting is added by one bincount. Each row's count + 1 best are taken at
-    once. A block of one row, past 8,192 docs at the default sizes, does the
-    per-row rule's work and more (on one CPU of a 2-vCPU VM it took about
-    twice as long at 50,000 and 100,000 docs), so where a block would hold
-    fewer than two rows the provider builds no head and serves every row
-    with `bm25_doc_topk`.
+    once. A block holds at least one row.
 
     Any summation order of a score's m positive weights, the block's or the
     per-row rule's, lies within (m - 1) * u / (1 - (m - 1) * u) of the exact
@@ -396,14 +392,13 @@ class Bm25BlockTopk:
         self._index = index
         self._params = params
         n_docs = index.n_docs
-        self._block_rows = _BM25_BLOCK_BYTES // (8 * n_docs)
+        self._block_rows = max(1, _BM25_BLOCK_BYTES // (8 * n_docs))
         dfs = np.diff(index._term_ptr)
         # the highest-df terms, ties by term number; -1 marks every other term
-        n_head = min(len(dfs), _BM25_HEAD_BYTES // (8 * n_docs)) if self._block_rows > 1 else 0
-        head = np.argsort(-dfs, kind="stable")[:n_head]
+        head = np.argsort(-dfs, kind="stable")[: _BM25_HEAD_BYTES // (8 * n_docs)]
         self._head_of = np.full(len(dfs), -1, dtype=np.int64)
-        self._head_of[head] = np.arange(n_head)
-        self._head = np.zeros((n_head, n_docs))
+        self._head_of[head] = np.arange(len(head))
+        self._head = np.zeros((len(head), n_docs))
         weights, ptr = index._bm25_weights(params), index._term_ptr
         for row, col in zip(self._head, head.tolist()):  # a term at a time keeps the temporaries small
             row[index._post_docs[ptr[col] : ptr[col + 1]]] = weights[ptr[col] : ptr[col + 1]]
@@ -415,8 +410,6 @@ class Bm25BlockTopk:
             raise IndexError(f"internal id out of range: {doc}")
         if count <= 0:
             return []
-        if self._block_rows < 2:
-            return bm25_doc_topk(self._index, self._params, doc, count)
         block = self._block
         if block is None or not block[0] <= doc < block[1] or block[2] != count:
             block = self._block = self._score_block(doc, count)

@@ -379,10 +379,13 @@ def _rerank(
     block_docs = tuple(map(docs.__getitem__, rank))
     remainder = tuple(itertools.filterfalse(set(block_ids).__contains__, order[cursor:]))
     n = len(remainder)
+    filled = backfill(float(block_scores[-1]), n)
+    if n and not math.isfinite(filled[-1]):
+        raise ValueError(f"no room for {n} finite backfill scores below score {block_scores[-1]} of query {qid!r}")
     return Ranking(
         qid,
         block_ids + remainder,
-        np.concatenate((block_scores, backfill(float(block_scores[-1]), n))),
+        np.concatenate((block_scores, filled)),
         sources=tuple(map(via.get, block_docs)) + (None,) * n,
     )
 

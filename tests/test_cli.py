@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from unittest import mock
 
 import numpy as np
@@ -213,7 +214,7 @@ def test_bm25_build_writes_the_per_row_graph(tmp_path, monkeypatch, capsys, k1, 
     corpus += [(f"copy{i}", corpus[i % 3][1]) for i in range(9)]
     write_corpus(tmp_path / "corpus.tsv", corpus)
     if block_rows is not None:
-        # blocks of one row: the provider serves every row by the per-row rule
+        # blocks of one row, the size every block has past 8,192 docs
         monkeypatch.setattr(lexical, "_BM25_BLOCK_BYTES", 8 * len(corpus) * block_rows)
     # the CLI's graph must come back through gar.cli.build_graph
     real_build_graph = cli.build_graph
@@ -230,11 +231,8 @@ def test_bm25_build_writes_the_per_row_graph(tmp_path, monkeypatch, capsys, k1, 
             "--bm25-k1", k1, "--bm25-b", b, "--out", tmp_path / "block.bin",
         )
     assert rc == 0
-    if block_rows is None:
-        # the tied copies' rows fall back to the per-row rule; the rest are the blocks'
-        assert 0 < per_row_calls.call_count < len(corpus)
-    else:
-        assert per_row_calls.call_count == len(corpus)
+    # the tied copies' rows fall back to the per-row rule; the rest are the blocks'
+    assert 0 < per_row_calls.call_count < len(corpus)
     capsys.readouterr()
     index = index_corpus(corpus)
     params = Bm25Params(k1=k1, b=b)
@@ -437,6 +435,32 @@ def test_cli_error_paths(workdir, capsys):
     rc = run_cli("evaluate", "--run", workdir, "--qrels", qrels)
     assert rc == 2
     assert err(capsys) == f"error: Is a directory: {workdir}\n"
+
+
+def test_rerank_refuses_backfill_past_the_finite_range(tmp_path, capsys):
+    # the cache scores only d0, at -max: no finite score is left for d1 and d2
+    run0, cache, run1 = tmp_path / "run0.txt", tmp_path / "cache.tsv", tmp_path / "run1.txt"
+    run0.write_text("q1 Q0 d0 1 3.0 t\nq1 Q0 d1 2 2.0 t\nq1 Q0 d2 3 1.0 t\n")
+    cache.write_text(f"q1\td0\t{-sys.float_info.max!r}\n")
+    rc = run_cli(
+        "rerank", "--run-in", run0, "--mode", "typical", "--scorer", f"cache:{cache}",
+        "--batch-size", "1", "--budget", "1", "--run-out", run1,
+    )
+    assert rc == 2
+    message = err(capsys)
+    assert "no room for 2 finite backfill scores" in message and "query 'q1'" in message
+    assert not run1.exists()
+
+
+def test_evaluate_refuses_a_query_named_all(workdir, capsys):
+    # the query's rows would read as the 'all' rows of the means
+    run, qrels, report = workdir / "run.txt", workdir / "qrels.txt", workdir / "report.tsv"
+    run.write_text("all Q0 d0 1 2.0 t\nq1 Q0 d1 1 2.0 t\n")
+    qrels.write_text("all 0 d0 3\nq1 0 d2 3\n")
+    rc = run_cli("evaluate", "--run", run, "--qrels", qrels, "--metrics", "recall@10", "--out", report)
+    assert rc == 2
+    assert "query id 'all'" in err(capsys)
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("metrics", ["", ",", " , ,"])

@@ -558,6 +558,15 @@ def test_metric_report_layout(tmp_path):
     )
 
 
+def test_metric_report_refuses_a_query_named_all(tmp_path):
+    # its row would read as the mean's
+    results = {"map": MetricValues({"q1": 1.0}, 0.75), "ndcg": MetricValues({"all": 1.0, "q1": 0.0}, 0.5)}
+    path = tmp_path / "report.tsv"
+    with pytest.raises(ValueError, match="query id 'all'"):
+        write_metric_report(path, results)
+    assert not path.exists()
+
+
 def test_cluster_matrix_layout(tmp_path):
     matrix = np.zeros((4, 4))
     matrix[3] = [0.0, 0.125, 0.375, 0.5]

@@ -469,6 +469,21 @@ def test_block_topk_rows_are_served_in_any_order():
     assert graph.edges.tolist() == build_graph(index.docmap, lambda d, c: bm25_doc_topk(index, params, d, c), 5).edges.tolist()
 
 
+def test_block_topk_past_8192_docs_at_the_default_sizes():
+    # past 8,192 docs a block holds one row, still with the head product
+    corpus = random_corpus(random.Random(83), 8300, vocab_size=40, max_len=30)
+    index = index_corpus(corpus)
+    params = Bm25Params()
+    assert lexical._BM25_BLOCK_BYTES // (8 * index.n_docs) < 2
+    rows = random.Random(84).sample(range(index.n_docs), 200)
+    with mock.patch.object(lexical, "bm25_doc_topk", wraps=lexical.bm25_doc_topk) as per_row:
+        provider = lexical.Bm25BlockTopk(index, params)
+        got = [[d for d, _ in provider(doc, 16)] for doc in rows]
+    assert got == [[d for d, _ in bm25_doc_topk(index, params, doc, 16)] for doc in rows]
+    # only the rows whose best scores are too close to certify fall back
+    assert per_row.call_count < len(rows)
+
+
 def test_postings_order_past_16_bit_term_numbers():
     # 65,537 terms: the last term's number does not fit the 16-bit sort
     words = [f"w{i:05d}" for i in range(65537)]

@@ -228,6 +228,29 @@ def test_backfill_falls_back_to_loop_where_steps_round_away():
         assert backfill(base, 3).tolist() == reference_backfill(base, 3)
 
 
+@pytest.mark.parametrize("rerank", ["typical", "gar"])
+def test_rerank_refuses_backfill_past_the_finite_range(rerank):
+    # below -max there is no finite score for the two unscored pool docs
+    lowest = -sys.float_info.max
+    r0 = Ranking.from_pairs("q7", [("a", 3.0), ("b", 2.0), ("c", 1.0)])
+    graph = graph_from_rows(["a", "b", "c"], {0: [1]})
+    config = ReRankConfig(batch_size=1, budget=1)
+    with pytest.raises(ValueError, match=r"2 finite backfill scores below score -1\.79.*e\+308 of query 'q7'"):
+        if rerank == "typical":
+            typical_rerank(r0, MapScorer({"a": lowest}), config)
+        else:
+            gar_rerank(r0, MapScorer({"a": lowest}), graph, config)
+
+
+def test_backfill_reaches_the_lowest_finite_score():
+    # one float spacing above -max leaves room for exactly one doc
+    base = math.nextafter(-sys.float_info.max, 0)
+    r0 = Ranking.from_pairs("q", [("a", 2.0), ("b", 1.0)])
+    out = typical_rerank(r0, MapScorer({"a": base}), ReRankConfig(batch_size=1, budget=1))
+    assert out.docids() == ["a", "b"]
+    assert out.scores().tolist() == [base, -sys.float_info.max]
+
+
 # --- typical re-ranking -----------------------------------------------------
 
 
