@@ -6,24 +6,15 @@ budgeted re-ranking pool, alongside the evaluation and benchmarking tools
 needed to study the behaviour.
 """
 
-from .bench import (
-    BudgetStats,
-    LatencyReport,
-    latency_bench,
-    precompute_cache,
-    write_latency_report,
-)
+from .bench import latency_bench, precompute_cache
 from .docmap import DocMap
 from .formats import (
-    TraceRow,
     read_corpus,
     read_qrels,
     read_queries,
     read_run,
     read_trace,
-    write_cluster_matrix,
     write_corpus,
-    write_metric_report,
     write_qrels,
     write_queries,
     write_run,
@@ -40,14 +31,7 @@ from .evaluate import (
     recall_at,
     rr_at,
 )
-from .graph import (
-    DEFAULT_K,
-    SENTINEL,
-    CorpusGraph,
-    build_graph,
-    docmap_path,
-    graph_file_size,
-)
+from .graph import CorpusGraph, build_graph
 from .lexical import (
     Bm25Params,
     DenseVectors,
@@ -58,9 +42,8 @@ from .lexical import (
     index_corpus,
     tokenize,
 )
-from .ranking import PROV_FRONTIER, PROV_INITIAL, RankEntry, Ranking
+from .ranking import Ranking
 from .rerank import (
-    BACKFILL_EPSILON,
     Bm25Scorer,
     OracleScorer,
     RecordingScorer,
@@ -71,42 +54,30 @@ from .rerank import (
     rerank_run,
     typical_rerank,
 )
-from .sweep import SweepRow, sweep_parameter, write_sweep_table
+from .sweep import sweep_parameter
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKFILL_EPSILON",
     "Bm25Params",
     "Bm25Scorer",
-    "BudgetStats",
     "CorpusGraph",
-    "DEFAULT_K",
     "DenseVectors",
     "DocMap",
     "InvertedIndex",
-    "LatencyReport",
     "MetricValues",
     "OracleScorer",
-    "PROV_FRONTIER",
-    "PROV_INITIAL",
-    "RankEntry",
     "Ranking",
     "RecordingScorer",
     "ReRankConfig",
-    "SENTINEL",
     "ScoreCache",
     "Scorer",
-    "SweepRow",
-    "TraceRow",
     "bm25_doc_topk",
     "bm25_retrieve",
     "build_graph",
     "cluster_matrix",
     "dense_topk",
-    "docmap_path",
     "gar_rerank",
-    "graph_file_size",
     "ils",
     "index_corpus",
     "judged_at",
@@ -126,13 +97,9 @@ __all__ = [
     "sweep_parameter",
     "tokenize",
     "typical_rerank",
-    "write_cluster_matrix",
     "write_corpus",
-    "write_latency_report",
-    "write_metric_report",
     "write_qrels",
     "write_queries",
     "write_run",
-    "write_sweep_table",
     "write_trace",
 ]

@@ -142,10 +142,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             results[spec] = eval_mod.ils(run, qrels, vectors)
         else:
             results[spec] = eval_mod.metric_fn(spec, args.gain)(run, qrels)
-    for spec in sorted(results):
-        print(f"{spec}\t{results[spec].mean:.4f}")
     if args.out:
         formats.write_metric_report(args.out, results)
+    for spec in sorted(results):
+        print(f"{spec}\t{results[spec].mean:.4f}")
     return 0
 
 

@@ -162,10 +162,6 @@ class DocMap:
             raise KeyError(f"unknown docid: {docid!r}")
         return found
 
-    def get(self, docid: str) -> int | None:
-        """Internal id for an external docid, or None if unknown."""
-        return self.lookup((docid,))[0]
-
     @property
     def ids(self) -> tuple[str, ...]:
         """Every id in internal order, as a tuple built on each call."""

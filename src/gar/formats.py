@@ -353,7 +353,19 @@ class TraceRow:
 def write_trace(path: str | Path, pools: Mapping[str, Ranking], rankings: Mapping[str, Ranking]) -> None:
     """One row per doc of every re-ranked list, in qid then final-rank order:
     its 1-based rank in the query's initial pool (NA if it was not there), its
-    final rank, provenance and source (NA for an initial doc)."""
+    final rank, provenance and source (NA for an initial doc). No qid, docid
+    or source may hold a tab or a line break, as `read_trace` would split it;
+    nothing is written otherwise."""
+    for result in rankings.values():
+        qid, docids, sources = result.qid, result.docids(), result.sources()
+        if _FIELD_BREAK.search(qid):
+            raise ValueError(f"{path}: query id {qid!r} holds a tab or a line break")
+        joined = "".join(docids) + "".join(filter(None, sources))
+        # three `in` scans of the joined ids cost about a hundredth of one regex scan
+        if any(char in joined for char in "\t\n\r"):
+            docid, source = next(row for row in zip(docids, sources) if _FIELD_BREAK.search(row[0] + (row[1] or "")))
+            field = f"docid {docid!r}" if _FIELD_BREAK.search(docid) else f"source {source!r} of docid {docid!r}"
+            raise ValueError(f"{path}: {field} for query {qid!r} holds a tab or a line break")
     ranks = _rank_strings(map(len, chain(pools.values(), rankings.values())))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_TRACE_HEADER + "\n")

@@ -116,9 +116,6 @@ class CorpusGraph:
     def edges(self) -> np.ndarray:
         return self._edges
 
-    def degree(self, doc: int) -> int:
-        return len(self.neighbours(doc))
-
     def neighbours(self, doc: int) -> list[int]:
         """Neighbour internal ids of `doc`, most similar first."""
         if not 0 <= doc < self.n_docs:

@@ -494,10 +494,6 @@ class DenseVectors:
     def row(self, doc: int) -> np.ndarray:
         return self._matrix[doc]
 
-    def similarities(self, doc: int) -> np.ndarray:
-        """Cosine similarity of every row against row `doc`, clipped to [-1, 1]."""
-        return _cosines(self._matrix.astype(np.float64), doc)
-
     def similarity(self, a: int, b: int) -> float:
         """Cosine similarity of rows `a` and `b` in float64, clipped to [-1, 1]."""
         dot = self._matrix[a].astype(np.float64) @ self._matrix[b].astype(np.float64)
@@ -513,16 +509,11 @@ class DenseVectors:
         return cls(*_read_table(Path(path), VEC_MAGIC, "<f4", "vector"))
 
 
-def _cosines(m64: np.ndarray, doc: int) -> np.ndarray:
-    """The one per-row cosine rule: row `doc` of the float64 rows `m64` against
-    every row, clipped to [-1, 1]."""
-    return np.clip(m64 @ m64[doc], -1.0, 1.0)
-
-
 def _dense_row(m64: np.ndarray, doc: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Ids and cosines of the `count` rows of `m64` nearest row `doc`, by
-    (cosine desc, id asc), excluding `doc` itself."""
-    sims = _cosines(m64, doc)
+    (cosine desc, id asc), excluding `doc` itself: the one per-row cosine
+    rule, row `doc` of the float64 rows against every row, clipped to [-1, 1]."""
+    sims = np.clip(m64 @ m64[doc], -1.0, 1.0)
     # cosines lie in [-1, 1], so only the doc itself is at the -inf floor
     sims[doc] = -np.inf
     return _top(sims, count, floor=-np.inf)

@@ -77,15 +77,11 @@ class Ranking:
         """A pool-only ranking of (docid, score) pairs in rank order. Given a
         Ranking, an equal one under `qid`, as perfbench's gar-c1000 set-up needs
         for `read_run`'s values; that branch and `pairs()` go once perfbench
-        uses the column constructor (ROADMAP item 7)."""
+        uses the column constructor (ROADMAP item 2)."""
         if isinstance(pairs, Ranking):
             return cls(qid, pairs._docids, pairs._scores, sources=pairs._sources)
         docids, scores = tuple(zip(*pairs)) or ((), ())
         return cls(qid, docids, scores)
-
-    @property
-    def entries(self) -> Sequence[RankEntry]:
-        return tuple(self)
 
     def docids(self) -> list[str]:
         return list(self._docids)
@@ -111,7 +107,7 @@ class Ranking:
 
     def __getitem__(self, i: int) -> RankEntry:
         if isinstance(i, slice):
-            return self.entries[i]
+            return tuple(self)[i]
         return RankEntry(self._docids[i], float(self._scores[i]), self._sources[i])
 
     def __repr__(self) -> str:

@@ -14,7 +14,8 @@ from typing import Any, Callable, Sequence
 import numpy as np
 from hypothesis import strategies as st
 
-from gar import SENTINEL, CorpusGraph, DocMap, Ranking, docmap_path
+from gar import CorpusGraph, DocMap, Ranking
+from gar.graph import SENTINEL, docmap_path
 
 
 # --- text-format round trips ------------------------------------------------

@@ -16,10 +16,8 @@ from gar import (
     Bm25Params,
     CorpusGraph,
     DocMap,
-    RankEntry,
     Ranking,
     ReRankConfig,
-    SENTINEL,
     bm25_doc_topk,
     bm25_retrieve,
     build_graph,
@@ -27,7 +25,6 @@ from gar import (
     dense_topk,
     DenseVectors,
     gar_rerank,
-    graph_file_size,
     index_corpus,
     judged_at,
     latency_bench,
@@ -41,9 +38,11 @@ from gar import (
     read_trace,
     sweep_parameter,
     typical_rerank,
-    write_sweep_table,
     write_trace,
 )
+from gar.graph import SENTINEL, graph_file_size
+from gar.ranking import RankEntry
+from gar.sweep import write_sweep_table
 from gar.lexical import Bm25BlockTopk, build_dense_graph
 from oracles import (
     bm25_all_scores,
@@ -101,7 +100,7 @@ def test_criterion_01_edgeless_graph_equals_typical(capsys):
         graph = edgeless_graph(docids, k=rng.randint(0, 4))
         typical = typical_rerank(r0, scorer, config)
         adaptive = gar_rerank(r0, scorer, graph, config)
-        if typical.qid == adaptive.qid and typical.entries == adaptive.entries:
+        if typical.qid == adaptive.qid and tuple(typical) == tuple(adaptive):
             identical += 1
     _verdict(
         capsys,

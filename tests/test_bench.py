@@ -13,7 +13,6 @@ import pytest
 import gar
 
 from gar import (
-    SENTINEL,
     Bm25Params,
     Bm25Scorer,
     CorpusGraph,
@@ -27,9 +26,9 @@ from gar import (
     latency_bench,
     precompute_cache,
     typical_rerank,
-    write_latency_report,
 )
-from gar.bench import t_quantile
+from gar.bench import t_quantile, write_latency_report
+from gar.graph import SENTINEL
 from synthdata import HashScorer, bench_instance, random_graph
 
 import random

@@ -31,8 +31,8 @@ def test_round_trip_lookups():
     assert dm.external(0) == "alpha"
     assert dm.external(2) == "gamma"
     assert dm.internal("beta") == 1
-    assert dm.get("gamma") == 2
-    assert dm.get("missing") is None
+    assert dm.lookup(("gamma",))[0] == 2
+    assert dm.lookup(("missing",))[0] is None
     assert "alpha" in dm
     assert "missing" not in dm
     assert list(dm) == ["alpha", "beta", "gamma"]
@@ -46,7 +46,7 @@ def test_unknown_docid_raises():
     # an id that is not a str is unknown too
     with pytest.raises(KeyError, match="unknown docid: 5"):
         dm.internal(5)
-    assert dm.get(5) is None and 5 not in dm
+    assert dm.lookup((5,))[0] is None and 5 not in dm
     assert dm.lookup(["a", 5, "b"]) == [0, None, None]
 
 
@@ -193,7 +193,7 @@ def _check_against_dict(ids, probes):
         assert dm.external(pos) == docid
         assert dm.internal(docid) == pos
     for docid in probes:
-        assert dm.get(docid) == index.get(docid)
+        assert dm.lookup((docid,))[0] == index.get(docid)
         assert (docid in dm) == (docid in index)
         if docid not in index:
             with pytest.raises(KeyError, match="unknown docid"):
@@ -282,5 +282,5 @@ def test_load_keeps_at_most_40_bytes_per_id(tmp_path):
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(dm) == n and dm.get("doc99999") == n - 1
+    assert len(dm) == n and dm.lookup(("doc99999",))[0] == n - 1
     assert kept <= 40 * n, f"{kept / n:.1f} bytes per id"

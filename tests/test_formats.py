@@ -12,22 +12,19 @@ from hypothesis import strategies as st
 from gar import (
     MetricValues,
     Ranking,
-    TraceRow,
     read_corpus,
     read_qrels,
     read_queries,
     read_run,
     read_trace,
-    write_cluster_matrix,
     write_corpus,
-    write_metric_report,
     write_qrels,
     write_queries,
     write_run,
     write_trace,
 )
 from gar import formats
-from gar.formats import _read_run_columns
+from gar.formats import TraceRow, _read_run_columns, write_cluster_matrix, write_metric_report
 from oracles import reference_read_run, reference_run_text, reference_trace_text
 from synthdata import AWKWARD_TEXT, run_pairs, written_then_read
 
@@ -135,6 +132,10 @@ def test_qrels_written_or_refused(qrels):
     assert got == (None if refused else {qid: judged for qid, judged in qrels.items() if judged})
 
 
+def trace_of(path, ranking):
+    write_trace(path, {ranking.qid: ranking}, {ranking.qid: ranking})
+
+
 @pytest.mark.parametrize(
     "write, value, message",
     [
@@ -146,8 +147,14 @@ def test_qrels_written_or_refused(qrels):
         (write_qrels, {"q": {"d 1": 1}}, "docid 'd 1' for query 'q' is empty or holds whitespace"),
         (write_qrels, {"q": {"d": 7}}, "label 7 for query 'q' doc 'd' is not an integer in 0..3"),
         (write_qrels, {"q": {"d": 1.0}}, "label 1.0 for query 'q' doc 'd' is not an integer in 0..3"),
+        (trace_of, Ranking("q", ["a\tb"], [1.0]), "docid 'a\\tb' for query 'q' holds a tab or a line break"),
+        (trace_of, Ranking("q", ["d"], [1.0], sources=["s\nt"]), "source 's\\nt' of docid 'd' for query 'q' holds a tab or a line break"),
+        (trace_of, Ranking("q\r1", ["d"], [1.0]), "query id 'q\\r1' holds a tab or a line break"),
     ],
-    ids=["corpus-docid", "corpus-text", "queries-qid", "queries-text", "qrels-qid", "qrels-docid", "qrels-label", "qrels-float-label"],
+    ids=[
+        "corpus-docid", "corpus-text", "queries-qid", "queries-text", "qrels-qid", "qrels-docid", "qrels-label",
+        "qrels-float-label", "trace-docid", "trace-source", "trace-qid",
+    ],
 )
 def test_writers_name_what_they_refuse(tmp_path, write, value, message):
     path = tmp_path / "out.txt"

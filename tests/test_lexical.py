@@ -20,10 +20,10 @@ from gar import (
     bm25_retrieve,
     build_graph,
     dense_topk,
-    docmap_path,
     index_corpus,
     tokenize,
 )
+from gar.graph import docmap_path
 from gar import lexical
 from gar.lexical import bm25_scores, build_dense_graph
 from oracles import bm25_all_scores, knn_row, reference_index, reference_tokenize
@@ -554,7 +554,7 @@ def test_vector_shape_validation():
 
 def test_similarities_clipped():
     vectors = unit_square_vectors()
-    sims = vectors.similarities(0)
+    sims = np.array([vectors.similarity(0, doc) for doc in range(vectors.n_docs)])
     assert sims.max() <= 1.0
     assert sims.min() >= -1.0
     assert sims[3] == 1.0

@@ -12,23 +12,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gar import (
-    BACKFILL_EPSILON,
-    PROV_FRONTIER,
-    PROV_INITIAL,
     CorpusGraph,
     DocMap,
-    RankEntry,
     Ranking,
     ReRankConfig,
-    SENTINEL,
     gar_rerank,
     read_trace,
     rerank_run,
     typical_rerank,
     write_trace,
 )
-from gar.ranking import provenance_of
-from gar.rerank import _numbering_array, backfill
+from gar.graph import SENTINEL
+from gar.ranking import PROV_FRONTIER, PROV_INITIAL, RankEntry, provenance_of
+from gar.rerank import BACKFILL_EPSILON, _numbering_array, backfill
 from oracles import closure, reference_backfill, reference_rerank
 from synthdata import (
     CountingScorer,
@@ -514,20 +510,20 @@ def test_gar_edgeless_graph_equals_typical():
     scorer = HashScorer()
     typical = typical_rerank(r0, scorer, config)
     adaptive = gar_rerank(r0, scorer, edgeless_graph([f"d{i}" for i in range(10)]), config)
-    assert typical.entries == adaptive.entries
+    assert tuple(typical) == tuple(adaptive)
 
 
 def test_gar_backfill_keeps_pool_order():
     r0 = Ranking.from_pairs("q", [(f"d{i:03d}", float(100 - i)) for i in range(100)])
     out = typical_rerank(r0, HashScorer(), ReRankConfig(batch_size=16, budget=10))
-    tail = out.entries[10:]
+    tail = tuple(out)[10:]
     assert len(tail) == 90
-    scored_ids = {e.docid for e in out.entries[:10]}
+    scored_ids = {e.docid for e in tuple(out)[:10]}
     expected_tail = [d for d in r0.docids() if d not in scored_ids]
     assert [e.docid for e in tail] == expected_tail
     scores = [e.score for e in tail]
     assert scores == sorted(scores, reverse=True)
-    assert max(scores) < min(e.score for e in out.entries[:10])
+    assert max(scores) < min(e.score for e in tuple(out)[:10])
 
 
 # --- randomized engine properties --------------------------------------------
@@ -559,7 +555,7 @@ def test_gar_scores_each_doc_once_and_fills_budget():
         reachable |= set(r0.docids())
         assert len(counting.pairs) == min(config.budget, len(reachable)), f"trial {trial}"
         # scored prefix is sorted by (score desc, docid asc)
-        scored = out.entries[: len(counting.pairs)]
+        scored = tuple(out)[: len(counting.pairs)]
         keys = [(-e.score, e.docid) for e in scored]
         assert keys == sorted(keys), f"trial {trial}"
         assert len(set(out.docids())) == len(out), f"trial {trial}"
@@ -680,7 +676,7 @@ def _state_instance():
     for qid, r0 in pools.items():
         counting = CountingScorer(HashScorer())
         own = CorpusGraph(graph.edges.copy(), DocMap(docids))
-        fresh[qid] = (gar_rerank(r0, counting, own, config).entries, counting.batches)
+        fresh[qid] = (tuple(gar_rerank(r0, counting, own, config)), counting.batches)
     return graph, pools, config, fresh
 
 
@@ -688,7 +684,7 @@ def test_rerank_carries_no_state_between_calls():
     graph, pools, config, fresh = _state_instance()
     for qid in ("qa", "qb", "qa"):
         counting = CountingScorer(HashScorer())
-        assert (gar_rerank(pools[qid], counting, graph, config).entries, counting.batches) == fresh[qid], qid
+        assert (tuple(gar_rerank(pools[qid], counting, graph, config)), counting.batches) == fresh[qid], qid
 
     class FailsOnThirdBatch(CountingScorer):
         def score_batch(self, qid, query, docids):
@@ -699,7 +695,7 @@ def test_rerank_carries_no_state_between_calls():
     with pytest.raises(RuntimeError, match="scorer failed on query 'qb'"):
         gar_rerank(pools["qb"], FailsOnThirdBatch(HashScorer()), graph, config)
     counting = CountingScorer(HashScorer())
-    assert (gar_rerank(pools["qa"], counting, graph, config).entries, counting.batches) == fresh["qa"]
+    assert (tuple(gar_rerank(pools["qa"], counting, graph, config)), counting.batches) == fresh["qa"]
 
 
 def test_rerank_threads_share_one_graph():
@@ -710,7 +706,7 @@ def test_rerank_threads_share_one_graph():
         for i in range(6):
             qid = ("qa", "qb")[(i + int(name[1])) % 2]
             counting = CountingScorer(HashScorer())
-            results[name].append((qid, gar_rerank(pools[qid], counting, graph, config).entries, counting.batches))
+            results[name].append((qid, tuple(gar_rerank(pools[qid], counting, graph, config)), counting.batches))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -3,16 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gar import (
-    CorpusGraph,
-    DocMap,
-    OracleScorer,
-    Ranking,
-    ReRankConfig,
-    SENTINEL,
-    sweep_parameter,
-    write_sweep_table,
-)
+from gar import CorpusGraph, DocMap, OracleScorer, Ranking, ReRankConfig, sweep_parameter
+from gar.graph import SENTINEL
+from gar.sweep import write_sweep_table
 from synthdata import CountingScorer, HashScorer, edgeless_graph
 
 
