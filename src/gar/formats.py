@@ -2,7 +2,8 @@
 metric reports.
 
 Writers are deterministic (sorted qids, fixed float formatting) so repeat
-invocations produce byte-identical files.
+invocations produce byte-identical files. Every file is UTF-8, so a writer
+refuses a str holding a surrogate code point before it opens the file.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ _NA = "NA"
 _LINE_BREAK = re.compile("[\n\r]")
 # what ends a tab-separated field other than a line's last
 _FIELD_BREAK = re.compile("[\t\n\r]")
+# what a str may hold and UTF-8 cannot encode
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def _is_token(value: str) -> bool:
@@ -67,6 +70,8 @@ def write_corpus(path: str | Path, docs: Iterable[tuple[str, str]]) -> None:
             raise ValueError(f"{path}: docid {docid!r} holds a tab or a line break")
         if _LINE_BREAK.search(text):
             raise ValueError(f"{path}: text of doc {docid!r} holds a line break")
+        if _SURROGATE.search(docid + text):
+            raise ValueError(f"{path}: doc {docid!r} holds a surrogate, which UTF-8 cannot encode")
     with open(path, "w", encoding="utf-8") as fh:
         for docid, text in docs:
             fh.write(f"{docid}\t{text}\n")
@@ -95,6 +100,8 @@ def write_queries(path: str | Path, queries: Mapping[str, str]) -> None:
             raise ValueError(f"{path}: query id {qid!r} is empty or holds whitespace")
         if _LINE_BREAK.search(text):
             raise ValueError(f"{path}: text of query {qid!r} holds a line break")
+        if _SURROGATE.search(qid + text):
+            raise ValueError(f"{path}: query {qid!r} holds a surrogate, which UTF-8 cannot encode")
     with open(path, "w", encoding="utf-8") as fh:
         for qid in sorted(queries):
             fh.write(f"{qid}\t{queries[qid]}\n")
@@ -132,9 +139,13 @@ def write_qrels(path: str | Path, qrels: Mapping[str, Mapping[str, int]]) -> Non
     for qid in sorted(qrels):
         if not _is_token(qid):
             raise ValueError(f"{path}: query id {qid!r} is empty or holds whitespace")
+        if _SURROGATE.search(qid):
+            raise ValueError(f"{path}: query id {qid!r} holds a surrogate, which UTF-8 cannot encode")
         for docid in sorted(qrels[qid]):
             if not _is_token(docid):
                 raise ValueError(f"{path}: docid {docid!r} for query {qid!r} is empty or holds whitespace")
+            if _SURROGATE.search(docid):
+                raise ValueError(f"{path}: docid {docid!r} for query {qid!r} holds a surrogate, which UTF-8 cannot encode")
             label = qrels[qid][docid]
             if not (isinstance(label, numbers.Integral) and 0 <= label < N_LABELS):
                 raise ValueError(
@@ -252,6 +263,8 @@ def write_run(path: str | Path, rankings: Mapping[str, Ranking], tag: str = "gar
     nothing is written otherwise."""
     if not _is_token(tag):
         raise ValueError(f"{path}: tag {tag!r} is empty or holds whitespace")
+    if _SURROGATE.search(tag):
+        raise ValueError(f"{path}: tag {tag!r} holds a surrogate, which UTF-8 cannot encode")
     columns = {}
     for qid in sorted(rankings):
         docids, scores = rankings[qid].docids(), rankings[qid].scores()
@@ -262,6 +275,8 @@ def write_run(path: str | Path, rankings: Mapping[str, Ranking], tag: str = "gar
         if "" in docids or (joined and joined.split() != [joined]):
             docid = next(docid for docid in docids if not _is_token(docid))
             raise ValueError(f"{path}: docid {docid!r} for query {qid!r} is empty or holds whitespace")
+        if not (qid + joined).isascii() and _SURROGATE.search(qid + joined):
+            raise ValueError(f"{path}: query {qid!r} holds a surrogate, which UTF-8 cannot encode")
         bad = np.flatnonzero(~np.isfinite(scores))
         if len(bad):
             raise ValueError(
@@ -325,6 +340,8 @@ def write_score_table(path: str | Path, scores: Mapping[tuple[str, str], float])
             raise ValueError(f"{path}: docid {docid!r} for query {qid!r} holds a tab or a line break")
         if not math.isfinite(score):
             raise ValueError(f"{path}: non-finite score {score!r} for query {qid!r} doc {docid!r}")
+        if _SURROGATE.search(qid + docid):
+            raise ValueError(f"{path}: query {qid!r} doc {docid!r} holds a surrogate, which UTF-8 cannot encode")
     with open(path, "w", encoding="utf-8") as fh:
         for (qid, docid) in sorted(scores):
             fh.write(f"{qid}\t{docid}\t{scores[(qid, docid)]!r}\n")
@@ -366,6 +383,8 @@ def write_trace(path: str | Path, pools: Mapping[str, Ranking], rankings: Mappin
             docid, source = next(row for row in zip(docids, sources) if _FIELD_BREAK.search(row[0] + (row[1] or "")))
             field = f"docid {docid!r}" if _FIELD_BREAK.search(docid) else f"source {source!r} of docid {docid!r}"
             raise ValueError(f"{path}: {field} for query {qid!r} holds a tab or a line break")
+        if not (qid + joined).isascii() and _SURROGATE.search(qid + joined):
+            raise ValueError(f"{path}: query {qid!r} holds a surrogate, which UTF-8 cannot encode")
     ranks = _rank_strings(map(len, chain(pools.values(), rankings.values())))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_TRACE_HEADER + "\n")

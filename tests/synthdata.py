@@ -25,6 +25,16 @@ from gar.graph import SENTINEL, docmap_path
 AWKWARD_TEXT = st.text(st.sampled_from("ab \t\n\r\x0b\x1c\x85\xa0\u2028") | st.characters(), max_size=4)
 
 
+def utf8_encodable(value: str) -> bool:
+    """Whether `value` can be written to a UTF-8 text file: a str may hold a
+    surrogate code point, which UTF-8 cannot encode."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def run_pairs(runs: dict[str, Ranking]) -> dict[str, list[tuple[str, float]]]:
     """Each query's ranking as (docid, score) pairs, the shape of
     `oracles.reference_read_run`; every ranking must carry its own qid and,

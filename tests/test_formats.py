@@ -26,7 +26,7 @@ from gar import (
 from gar import formats
 from gar.formats import TraceRow, _read_run_columns, write_cluster_matrix, write_metric_report
 from oracles import reference_read_run, reference_run_text, reference_trace_text
-from synthdata import AWKWARD_TEXT, run_pairs, written_then_read
+from synthdata import AWKWARD_TEXT, run_pairs, utf8_encodable, written_then_read
 
 
 def is_token(value: str) -> bool:
@@ -49,10 +49,14 @@ def test_corpus_round_trip(tmp_path):
 
 @given(st.lists(st.tuples(AWKWARD_TEXT, AWKWARD_TEXT), max_size=4))
 @example([("d\t1", "x")])
+@example([("", "\ud800")])
 def test_corpus_written_or_refused(docs):
     got = written_then_read(write_corpus, read_corpus, docs)
     # a tab in a docid would move the rest of it into the text
-    refused = any("\t" in docid or breaks_line(docid) or breaks_line(text) for docid, text in docs)
+    refused = any(
+        "\t" in docid or breaks_line(docid) or breaks_line(text) or not utf8_encodable(docid + text)
+        for docid, text in docs
+    )
     assert got == (None if refused else docs)
 
 
@@ -83,9 +87,12 @@ def test_queries_round_trip(tmp_path):
 
 @given(st.dictionaries(AWKWARD_TEXT, AWKWARD_TEXT, max_size=4))
 @example({"q 1": "x"})
+@example({"q": "\udfff"})
 def test_queries_written_or_refused(queries):
     got = written_then_read(write_queries, read_queries, queries)
-    refused = any(not is_token(qid) or breaks_line(text) for qid, text in queries.items())
+    refused = any(
+        not is_token(qid) or breaks_line(text) or not utf8_encodable(qid + text) for qid, text in queries.items()
+    )
     assert got == (None if refused else queries)
 
 
@@ -121,10 +128,11 @@ LABELS = st.integers(-1, 4) | st.booleans() | st.floats(0, 3) | st.builds(np.int
 @given(st.dictionaries(AWKWARD_TEXT, st.dictionaries(AWKWARD_TEXT, LABELS, max_size=3), max_size=3))
 @example({"q": {"d 1": 1}})
 @example({"q": {"d": 7}})
+@example({"q": {"\ud800": 1}})
 def test_qrels_written_or_refused(qrels):
     got = written_then_read(write_qrels, read_qrels, qrels)
-    refused = not all(map(is_token, qrels)) or any(
-        not is_token(docid) or isinstance(label, float) or not 0 <= label <= 3
+    refused = not all(is_token(qid) and utf8_encodable(qid) for qid in qrels) or any(
+        not (is_token(docid) and utf8_encodable(docid)) or isinstance(label, float) or not 0 <= label <= 3
         for judged in qrels.values()
         for docid, label in judged.items()
     )
@@ -134,6 +142,10 @@ def test_qrels_written_or_refused(qrels):
 
 def trace_of(path, ranking):
     write_trace(path, {ranking.qid: ranking}, {ranking.qid: ranking})
+
+
+def run_of(path, ranking):
+    write_run(path, {ranking.qid: ranking})
 
 
 @pytest.mark.parametrize(
@@ -150,10 +162,16 @@ def trace_of(path, ranking):
         (trace_of, Ranking("q", ["a\tb"], [1.0]), "docid 'a\\tb' for query 'q' holds a tab or a line break"),
         (trace_of, Ranking("q", ["d"], [1.0], sources=["s\nt"]), "source 's\\nt' of docid 'd' for query 'q' holds a tab or a line break"),
         (trace_of, Ranking("q\r1", ["d"], [1.0]), "query id 'q\\r1' holds a tab or a line break"),
+        (write_corpus, [("d", "\ud800")], "doc 'd' holds a surrogate, which UTF-8 cannot encode"),
+        (write_queries, {"q\udc80": "x"}, "query 'q\\udc80' holds a surrogate, which UTF-8 cannot encode"),
+        (write_qrels, {"q": {"d\udfff": 1}}, "docid 'd\\udfff' for query 'q' holds a surrogate, which UTF-8 cannot encode"),
+        (run_of, Ranking("q", ["a", "\ud800"], [2.0, 1.0]), "query 'q' holds a surrogate, which UTF-8 cannot encode"),
+        (trace_of, Ranking("q", ["d"], [1.0], sources=["\ud800"]), "query 'q' holds a surrogate, which UTF-8 cannot encode"),
     ],
     ids=[
         "corpus-docid", "corpus-text", "queries-qid", "queries-text", "qrels-qid", "qrels-docid", "qrels-label",
-        "qrels-float-label", "trace-docid", "trace-source", "trace-qid",
+        "qrels-float-label", "trace-docid", "trace-source", "trace-qid", "corpus-surrogate", "queries-surrogate",
+        "qrels-surrogate", "run-surrogate", "trace-surrogate",
     ],
 )
 def test_writers_name_what_they_refuse(tmp_path, write, value, message):

@@ -27,7 +27,7 @@ from gar import (
 )
 from gar.lexical import bm25_scores
 from oracles import reference_noise
-from synthdata import AWKWARD_TEXT, HashScorer, written_then_read
+from synthdata import AWKWARD_TEXT, HashScorer, utf8_encodable, written_then_read
 
 
 # --- ScoreCache --------------------------------------------------------------
@@ -65,10 +65,12 @@ def test_cache_round_trip_is_float_exact(tmp_path):
 @given(st.dictionaries(st.tuples(AWKWARD_TEXT, AWKWARD_TEXT), st.floats(), max_size=4))
 @example({("q", "d\t1"): 1.0})
 @example({("q", "d"): math.nan})
+@example({("q", "\ud800"): 1.0})
 def test_cache_written_or_refused(scores):
     got = written_then_read(lambda path, cache: cache.save(path), ScoreCache.load, ScoreCache(scores))
     refused = any(
-        any(c in qid + docid for c in "\t\n\r") or not math.isfinite(score) for (qid, docid), score in scores.items()
+        any(c in qid + docid for c in "\t\n\r") or not math.isfinite(score) or not utf8_encodable(qid + docid)
+        for (qid, docid), score in scores.items()
     )
     assert (got is None) == refused
     if got is not None:
