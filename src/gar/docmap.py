@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import re
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -13,14 +14,16 @@ import numpy as np
 # padding sentinel in edge tables, so a docmap may hold at most 2**32 - 1 docs.
 MAX_DOCS = 0xFFFFFFFF
 
-# ids checked per block, and characters of a sidecar read at a time; each
+# characters of id text checked and hashed at a time, in whole ids, which
 # bounds the id strings held at once
-_CHECK_BLOCK_IDS = 1 << 16
-_LOAD_BLOCK_CHARS = 1 << 20
+_BLOCK_CHARS = 1 << 18
 
 # The index sorts ids by this hash. Any str -> int function gives exact
 # lookups, as every probe is confirmed against the text.
 _hash = hash
+
+# what a str may hold and UTF-8 cannot encode
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 _NEWLINES = itertools.repeat("\n")
 
@@ -41,47 +44,43 @@ class DocMap:
 
     def __init__(self, docids: Iterable[str]):
         ids = docids if isinstance(docids, (list, tuple)) else list(docids)
-        blocks = (ids[start : start + _CHECK_BLOCK_IDS] for start in range(0, len(ids), _CHECK_BLOCK_IDS))
-        self._build((("\n".join(block) + "\n", len(block)) for block in blocks), lambda texts: ids)
+        self._build("\n".join([*ids, ""]), len(ids), lambda: ids)
 
-    def _build(self, pieces: Iterable[tuple[str, int]], ids_upto: Callable[[list[str]], Sequence[str]]) -> None:
-        """Set the columns from (text, id count) pieces, each text the ids of
-        one block, each followed by "\\n". A piece whose text does not split
-        into its count of non-empty, whitespace-free ids, and a repeated id,
-        are reported by the per-id loop, over `ids_upto(texts read so far)`."""
-        texts: list[str] = []
-        hash_blocks: list[np.ndarray] = []
-        end_blocks: list[np.ndarray] = [np.zeros(1, np.uint32)]
-        size = 0
-        for text, count in pieces:
-            ids = text.split()
-            lengths = np.fromiter(map(len, ids), np.int64, len(ids))
-            texts.append(text)
-            # the text holds count newlines and nothing else that splits it
-            if not (len(ids) == count == text.count("\n") and int(lengths.sum()) + count == len(text)):
-                _raise_first_error(ids_upto(texts))
-            hash_blocks.append(np.fromiter(map(_hash, ids), np.int64, count))
-            ends = np.cumsum(lengths + 1) + size
-            size += len(text)
-            end_blocks.append(ends.astype(np.uint32 if size <= 0xFFFFFFFF else np.uint64))
-        n = sum(map(len, hash_blocks))
-        if not n:
+    def _build(self, text: str, count: int, ids: Callable[[], Sequence[str]]) -> None:
+        """Set the columns from `text`, which should hold `count` ids, each
+        followed by "\\n"; it is checked and hashed a block of whole ids at a
+        time. An empty, whitespace-holding, surrogate-holding or repeated id
+        is reported by the per-id loop over `ids()`."""
+        if text.count("\n") != count or (not text.isascii() and _SURROGATE.search(text)):
+            _raise_first_error(ids())
+        if not count:
             raise ValueError("docmap is empty")
-        if n >= MAX_DOCS:
-            raise ValueError(f"too many docs for a 32-bit docmap: {n}")
-        # each list of blocks is dropped once joined, and the hashes are
-        # sorted in place, so the peak holds one column twice at most
-        self._text = "".join(texts)
-        del texts
-        self._starts = np.concatenate(end_blocks, dtype=np.result_type(*end_blocks))
-        del end_blocks
-        hashes = np.concatenate(hash_blocks)
-        del hash_blocks
-        order = hashes.argsort()
+        if count >= MAX_DOCS:
+            raise ValueError(f"too many docs for a 32-bit docmap: {count}")
+        starts = np.zeros(count + 1, np.uint32 if len(text) <= 0xFFFFFFFF else np.uint64)
+        hashes = np.empty(count, np.int64)
+        done = begin = 0
+        while begin < len(text):
+            end = text.find("\n", min(begin + _BLOCK_CHARS, len(text)) - 1) + 1
+            block = text[begin:end]
+            block_ids = block.split()
+            n = len(block_ids)
+            lengths = np.fromiter(map(len, block_ids), np.int64, n)
+            # the block holds n newlines and nothing else that splits it
+            if not (n == block.count("\n") and int(lengths.sum()) + n == len(block)):
+                _raise_first_error(ids())
+            hashes[done : done + n] = np.fromiter(map(_hash, block_ids), np.int64, n)
+            starts[done + 1 : done + n + 1] = np.cumsum(lengths + 1) + begin
+            done += n
+            begin = end
+        # the last block's id strings go first, and the hashes are sorted in
+        # place, so the peak holds one column twice at most
+        del block, block_ids
+        self._order = hashes.argsort().astype(np.uint32)
         hashes.sort()
+        self._text = text
+        self._starts = starts
         self._hashes = hashes
-        self._order = order.astype(np.uint32)
-        del order
         for column in (self._starts, self._hashes, self._order):
             column.setflags(write=False)
         # a repeat has equal hashes, so it sits in a run of equal adjacent hashes
@@ -89,7 +88,7 @@ class DocMap:
         if tied.size:
             names = self.names(self._order[np.union1d(tied, tied + 1)])
             if len(set(names)) < len(names):
-                _raise_first_error(self.ids)
+                _raise_first_error(ids())
 
     def __len__(self) -> int:
         return len(self._order)
@@ -179,41 +178,28 @@ class DocMap:
     def load(cls, path: str | Path) -> "DocMap":
         """Read a sidecar, one docid per line, with universal newlines; one
         trailing empty line is dropped, as `save` writes none."""
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        # the text is copied only to end the last line or drop an empty one
+        if text and not text.endswith("\n"):
+            text += "\n"
+        elif text == "\n" or text.endswith("\n\n"):
+            text = text[:-1]
         docmap = cls.__new__(cls)
-        docmap._build(_sidecar_pieces(path), lambda texts: "".join(texts).split("\n")[:-1])
+        docmap._build(text, text.count("\n"), lambda: text.split("\n")[:-1])
         return docmap
 
 
-def _sidecar_pieces(path: str | Path) -> Iterator[tuple[str, int]]:
-    """The sidecar's lines as (text, line count) pieces of whole lines, a
-    block at a time. Trailing empty lines are held back to the end of the
-    file, where one is dropped."""
-    rest = ""
-    with open(path, "r", encoding="utf-8") as fh:
-        while chunk := fh.read(_LOAD_BLOCK_CHARS):
-            text = rest + chunk
-            cut = text.rfind("\n") + 1
-            while cut and (cut == 1 or text[cut - 2] == "\n"):
-                cut -= 1
-            rest = text[cut:]
-            if cut:
-                yield text[:cut], text.count("\n", 0, cut)
-    lines = rest.split("\n")
-    for _ in range(2):  # the end of the last line, then one trailing empty line
-        if lines and lines[-1] == "":
-            lines.pop()
-    if lines:
-        yield "\n".join(lines) + "\n", len(lines)
-
-
 def _raise_first_error(ids: Sequence[str]) -> None:
-    """Raise on the first empty, whitespace-holding or repeated docid."""
+    """Raise on the first empty, whitespace-holding, surrogate-holding or repeated docid."""
     seen: set[str] = set()
     for pos, docid in enumerate(ids):
         if not docid:
             raise ValueError(f"empty docid at position {pos}")
         if docid.split() != [docid]:
             raise ValueError(f"docid contains whitespace: {docid!r}")
+        if _SURROGATE.search(docid):
+            raise ValueError(f"docid holds a surrogate, which UTF-8 cannot encode: {docid!r}")
         if docid in seen:
             raise ValueError(f"duplicate docid: {docid!r}")
         seen.add(docid)

@@ -19,6 +19,7 @@ from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
+from .docmap import _SURROGATE
 from .evaluate import MetricValues, N_LABELS
 from .ranking import PROV_FRONTIER, PROV_INITIAL, Ranking, provenance_of
 
@@ -29,8 +30,6 @@ _NA = "NA"
 _LINE_BREAK = re.compile("[\n\r]")
 # what ends a tab-separated field other than a line's last
 _FIELD_BREAK = re.compile("[\t\n\r]")
-# what a str may hold and UTF-8 cannot encode
-_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def _is_token(value: str) -> bool:
@@ -258,9 +257,9 @@ def _read_run_rows(path: str | Path) -> dict[str, Ranking]:
 
 
 def write_run(path: str | Path, rankings: Mapping[str, Ranking], tag: str = "gar") -> None:
-    """Write rankings in qid order. Scores must be finite, and the tag, every
-    qid and every docid one whitespace-free token, as `read_run` requires;
-    nothing is written otherwise."""
+    """Write rankings in qid order. Each key must be its ranking's qid, every
+    score finite, and the tag, every qid and every docid one whitespace-free
+    token, as `read_run` requires; nothing is written otherwise."""
     if not _is_token(tag):
         raise ValueError(f"{path}: tag {tag!r} is empty or holds whitespace")
     if _SURROGATE.search(tag):
@@ -268,6 +267,8 @@ def write_run(path: str | Path, rankings: Mapping[str, Ranking], tag: str = "gar
     columns = {}
     for qid in sorted(rankings):
         docids, scores = rankings[qid].docids(), rankings[qid].scores()
+        if rankings[qid].qid != qid:
+            raise ValueError(f"{path}: key {qid!r} holds the ranking of query {rankings[qid].qid!r}")
         if not _is_token(qid):
             raise ValueError(f"{path}: query id {qid!r} is empty or holds whitespace")
         # whitespace in any docid splits the joined docids apart
@@ -370,11 +371,16 @@ class TraceRow:
 def write_trace(path: str | Path, pools: Mapping[str, Ranking], rankings: Mapping[str, Ranking]) -> None:
     """One row per doc of every re-ranked list, in qid then final-rank order:
     its 1-based rank in the query's initial pool (NA if it was not there), its
-    final rank, provenance and source (NA for an initial doc). No qid, docid
-    or source may hold a tab or a line break, as `read_trace` would split it;
+    final rank, provenance and source (NA for an initial doc). Every ranking
+    needs a pool, each key must be its ranking's qid, and no qid, docid or
+    source may hold a tab or a line break, as `read_trace` would split it;
     nothing is written otherwise."""
-    for result in rankings.values():
-        qid, docids, sources = result.qid, result.docids(), result.sources()
+    for qid, result in rankings.items():
+        docids, sources = result.docids(), result.sources()
+        if result.qid != qid:
+            raise ValueError(f"{path}: key {qid!r} holds the ranking of query {result.qid!r}")
+        if qid not in pools:
+            raise ValueError(f"{path}: query {qid!r} has no pool")
         if _FIELD_BREAK.search(qid):
             raise ValueError(f"{path}: query id {qid!r} holds a tab or a line break")
         joined = "".join(docids) + "".join(filter(None, sources))
@@ -390,11 +396,10 @@ def write_trace(path: str | Path, pools: Mapping[str, Ranking], rankings: Mappin
         fh.write(_TRACE_HEADER + "\n")
         for qid in sorted(rankings):
             result = rankings[qid]
-            docids = result.docids()
             initial = dict(zip(pools[qid].docids(), ranks))
             sources = [_NA if source is None else source for source in result.sources()]
-            initial_ranks = map(initial.get, docids, repeat(_NA))
-            _write_rows(fh, "\t", (repeat(result.qid), docids, initial_ranks, ranks, result.provenances(), sources))
+            initial_ranks = map(initial.get, result.docids(), repeat(_NA))
+            _write_rows(fh, "\t", (repeat(qid), result.docids(), initial_ranks, ranks, result.provenances(), sources))
 
 
 def read_trace(path: str | Path) -> list[TraceRow]:
@@ -429,9 +434,16 @@ def read_trace(path: str | Path) -> list[TraceRow]:
 
 
 def write_metric_report(path: str | Path, results: Mapping[str, MetricValues]) -> None:
-    """One row per (metric, query) plus an 'all' row holding each mean, so no query may be named 'all'."""
+    """One row per (metric, query) plus an 'all' row holding each mean. No qid
+    may be 'all', and no name a tab, a line break or a surrogate."""
     if any("all" in values.per_query for values in results.values()):
         raise ValueError(f"{path}: query id 'all' is the name of the mean rows")
+    for metric, values in results.items():
+        for field, name in chain([("metric", metric)], zip(repeat("query id"), values.per_query)):
+            if _FIELD_BREAK.search(name):
+                raise ValueError(f"{path}: {field} {name!r} holds a tab or a line break")
+            if _SURROGATE.search(name):
+                raise ValueError(f"{path}: {field} {name!r} holds a surrogate, which UTF-8 cannot encode")
     with open(path, "w", encoding="utf-8") as fh:
         for metric in sorted(results):
             values = results[metric]

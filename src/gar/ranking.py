@@ -83,8 +83,8 @@ class Ranking:
         docids, scores = tuple(zip(*pairs)) or ((), ())
         return cls(qid, docids, scores)
 
-    def docids(self) -> list[str]:
-        return list(self._docids)
+    def docids(self) -> tuple[str, ...]:
+        return self._docids
 
     def scores(self) -> np.ndarray:
         """The scores, as a read-only float64 array."""

@@ -55,7 +55,7 @@ def reference_index(
 
 def reference_docmap_index(ids: list[str]) -> dict[str, int]:
     """docid -> position, one id at a time, raising the docmap's message on
-    the first empty, whitespace-holding or repeated id."""
+    the first empty, whitespace-holding, surrogate-holding or repeated id."""
     if not ids:
         raise ValueError("docmap is empty")
     index: dict[str, int] = {}
@@ -64,6 +64,8 @@ def reference_docmap_index(ids: list[str]) -> dict[str, int]:
             raise ValueError(f"empty docid at position {pos}")
         if any(ch.isspace() for ch in docid):
             raise ValueError(f"docid contains whitespace: {docid!r}")
+        if any("\ud800" <= ch <= "\udfff" for ch in docid):
+            raise ValueError(f"docid holds a surrogate, which UTF-8 cannot encode: {docid!r}")
         if docid in index:
             raise ValueError(f"duplicate docid: {docid!r}")
         index[docid] = pos

@@ -131,7 +131,7 @@ def test_criterion_02_toy_instance_trace(capsys, tmp_path):
     out = gar_rerank(r0, counting, graph, ReRankConfig(batch_size=2, budget=6))
 
     problems = []
-    if out.docids() != ["d4", "d0", "d2", "d5", "d3", "d1"]:
+    if out.docids() != ("d4", "d0", "d2", "d5", "d3", "d1"):
         problems.append(f"order {out.docids()}")
     by_doc = {e.docid: e for e in out}
     for docid in ("d4", "d5"):

@@ -70,3 +70,31 @@ def test_module_imports_nothing_unused(path):
 def test_package_root_imports_only_what_it_exports():
     tree = ast.parse((SOURCE / "__init__.py").read_text(encoding="utf-8"))
     assert imported_names(tree) == set(gar.__all__)
+
+
+def private_definitions(tree: ast.Module) -> list[str]:
+    """Module-level private names that a def, class or assignment binds."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.extend(target.id for target in targets if isinstance(target, ast.Name))
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def test_every_private_name_is_used():
+    # a helper or constant left behind by a rewrite is read nowhere
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCE.glob("*.py")}
+    used = set()  # (module, name): read in the module, imported from it, or read as module.name
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add((module, node.id))
+            elif isinstance(node, ast.ImportFrom):
+                used.update((node.module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                used.add((node.value.id, node.attr))
+    unused = [f"{module}.{name}" for module, tree in trees.items() for name in private_definitions(tree) if (module, name) not in used]
+    assert unused == []

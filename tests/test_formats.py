@@ -148,6 +148,10 @@ def run_of(path, ranking):
     write_run(path, {ranking.qid: ranking})
 
 
+def trace_of_pools(path, pools_and_rankings):
+    write_trace(path, *pools_and_rankings)
+
+
 @pytest.mark.parametrize(
     "write, value, message",
     [
@@ -167,11 +171,18 @@ def run_of(path, ranking):
         (write_qrels, {"q": {"d\udfff": 1}}, "docid 'd\\udfff' for query 'q' holds a surrogate, which UTF-8 cannot encode"),
         (run_of, Ranking("q", ["a", "\ud800"], [2.0, 1.0]), "query 'q' holds a surrogate, which UTF-8 cannot encode"),
         (trace_of, Ranking("q", ["d"], [1.0], sources=["\ud800"]), "query 'q' holds a surrogate, which UTF-8 cannot encode"),
+        (write_metric_report, {"ndcg": MetricValues({"q\t1": 0.5}, 0.5)}, "query id 'q\\t1' holds a tab or a line break"),
+        (write_metric_report, {"nd\ncg": MetricValues({"q": 0.5}, 0.5)}, "metric 'nd\\ncg' holds a tab or a line break"),
+        (write_metric_report, {"ndcg": MetricValues({"q\ud800": 0.5}, 0.5)}, "query id 'q\\ud800' holds a surrogate, which UTF-8 cannot encode"),
+        (write_run, {"x": Ranking("q1", ["a"], [1.0])}, "key 'x' holds the ranking of query 'q1'"),
+        (trace_of_pools, ({}, {"x": Ranking("q1", ["a"], [1.0])}), "key 'x' holds the ranking of query 'q1'"),
+        (trace_of_pools, ({}, {"q": Ranking("q", ["a"], [1.0])}), "query 'q' has no pool"),
     ],
     ids=[
         "corpus-docid", "corpus-text", "queries-qid", "queries-text", "qrels-qid", "qrels-docid", "qrels-label",
         "qrels-float-label", "trace-docid", "trace-source", "trace-qid", "corpus-surrogate", "queries-surrogate",
-        "qrels-surrogate", "run-surrogate", "trace-surrogate",
+        "qrels-surrogate", "run-surrogate", "trace-surrogate", "report-qid", "report-metric", "report-surrogate",
+        "run-key", "trace-key", "trace-no-pool",
     ],
 )
 def test_writers_name_what_they_refuse(tmp_path, write, value, message):

@@ -205,7 +205,7 @@ def test_retrieve_orders_by_score_then_internal_id():
     index = index_corpus(corpus)
     ranking = bm25_retrieve(index, Bm25Params(), "q1", "x", top_n=10)
     assert ranking.qid == "q1"
-    assert ranking.docids() == ["top", "mid", "low"]
+    assert ranking.docids() == ("top", "mid", "low")
     scores = [entry.score for entry in ranking]
     assert scores == sorted(scores, reverse=True)
 
@@ -213,13 +213,13 @@ def test_retrieve_orders_by_score_then_internal_id():
 def test_retrieve_tie_breaks_by_corpus_position():
     corpus = [("b", "x"), ("a", "x"), ("c", "x")]
     ranking = bm25_retrieve(index_corpus(corpus), Bm25Params(), "q", "x")
-    assert ranking.docids() == ["b", "a", "c"]
+    assert ranking.docids() == ("b", "a", "c")
 
 
 def test_retrieve_skips_docs_without_overlap():
     corpus = [("hit", "x"), ("miss", "y")]
     ranking = bm25_retrieve(index_corpus(corpus), Bm25Params(), "q", "x z")
-    assert ranking.docids() == ["hit"]
+    assert ranking.docids() == ("hit",)
 
 
 def test_retrieve_honours_top_n():

@@ -50,7 +50,7 @@ def test_ranking_basics():
     r = Ranking.from_pairs("q", [("a", 2.0), ("b", 1.0)])
     assert r.qid == "q"
     assert len(r) == 2
-    assert r.docids() == ["a", "b"]
+    assert r.docids() == ("a", "b")
     assert r.pairs() == [("a", 2.0), ("b", 1.0)]
     assert r[0] == RankEntry("a", 2.0)
     assert [e.docid for e in r] == ["a", "b"]
@@ -76,7 +76,7 @@ def test_ranking_rejects_duplicates():
 
 def test_ranking_docids_differing_by_trailing_nul_are_distinct():
     r = Ranking.from_pairs("q", [("a\x00", 2.0), ("a", 1.0)])
-    assert r.docids() == ["a\x00", "a"]
+    assert r.docids() == ("a\x00", "a")
     with pytest.raises(ValueError, match="duplicate docid"):
         Ranking.from_pairs("q", [("a\x00", 2.0), ("a\x00", 1.0)])
 
@@ -87,7 +87,7 @@ def test_rerank_orders_ties_by_str_with_trailing_nul():
     r0 = Ranking.from_pairs("q", [(d, float(4 - i)) for i, d in enumerate(pool)])
     scores = dict.fromkeys(pool, 1.0)
     out = typical_rerank(r0, MapScorer(scores), ReRankConfig(batch_size=4, budget=3))
-    assert out.docids() == ["a", "a\x00", "b", "c"]
+    assert out.docids() == ("a", "a\x00", "b", "c")
     want = reference_rerank(pool, lambda batch: [scores[d] for d in batch], {}, 4, 3)
     assert [(e.docid, e.score, e.provenance, e.source) for e in out] == want
 
@@ -98,7 +98,7 @@ def test_rerank_orders_signed_zero_ties_by_docid():
     r0 = Ranking.from_pairs("q", [(d, float(4 - i)) for i, d in enumerate(pool)])
     scores = {"b": 0.0, "a": -0.0, "c": 1.0, "d": -1.0}
     out = typical_rerank(r0, MapScorer(scores), ReRankConfig(batch_size=4, budget=4))
-    assert out.docids() == ["c", "a", "b", "d"]
+    assert out.docids() == ("c", "a", "b", "d")
     assert [math.copysign(1.0, score) for score in out.scores()] == [1.0, -1.0, 1.0, -1.0]
     want = reference_rerank(pool, lambda batch: [scores[d] for d in batch], {}, 4, 4)
     assert [(e.docid, e.score, e.provenance, e.source) for e in out] == want
@@ -192,7 +192,7 @@ def test_backfill_stays_strictly_below_scored_block_at_large_magnitude():
     r0 = Ranking.from_pairs("q", [(f"d{i}", 6.0 - i) for i in range(6)])
     scorer = MapScorer({f"d{i}": 1e12 + i for i in range(6)})
     out = typical_rerank(r0, scorer, ReRankConfig(batch_size=2, budget=2))
-    assert out.docids() == ["d1", "d0", "d2", "d3", "d4", "d5"]
+    assert out.docids() == ("d1", "d0", "d2", "d3", "d4", "d5")
     scores = [entry.score for entry in out]
     assert scores[1] == 1e12
     assert scores[1] > scores[2] > scores[3] > scores[4] > scores[5]
@@ -243,7 +243,7 @@ def test_backfill_reaches_the_lowest_finite_score():
     base = math.nextafter(-sys.float_info.max, 0)
     r0 = Ranking.from_pairs("q", [("a", 2.0), ("b", 1.0)])
     out = typical_rerank(r0, MapScorer({"a": base}), ReRankConfig(batch_size=1, budget=1))
-    assert out.docids() == ["a", "b"]
+    assert out.docids() == ("a", "b")
     assert out.scores().tolist() == [base, -sys.float_info.max]
 
 
@@ -262,7 +262,7 @@ def test_typical_budget_truncates_and_backfills():
     out = typical_rerank(
         r0, MapScorer({"a": 0.1, "b": 0.9}), ReRankConfig(batch_size=2, budget=2)
     )
-    assert out.docids() == ["b", "a", "c", "d"]
+    assert out.docids() == ("b", "a", "c", "d")
     assert out[2].score == 0.1 - BACKFILL_EPSILON
     assert out[3].score == 0.1 - 2 * BACKFILL_EPSILON
 
@@ -270,7 +270,7 @@ def test_typical_budget_truncates_and_backfills():
 def test_typical_score_ties_break_by_docid():
     r0 = Ranking.from_pairs("q", [("z", 3.0), ("m", 2.0), ("a", 1.0)])
     out = typical_rerank(r0, MapScorer({"z": 0.5, "m": 0.5, "a": 0.5}))
-    assert out.docids() == ["a", "m", "z"]
+    assert out.docids() == ("a", "m", "z")
 
 
 def test_typical_batch_sizes():
@@ -361,7 +361,7 @@ def test_gar_toy_output():
     out = gar_rerank(
         toy_r0(), MapScorer(TOY_SCORES), toy_graph(), ReRankConfig(batch_size=2, budget=6)
     )
-    assert out.docids() == ["d4", "d0", "d2", "d5", "d3", "d1"]
+    assert out.docids() == ("d4", "d0", "d2", "d5", "d3", "d1")
     assert [e.score for e in out] == [0.95, 0.9, 0.8, 0.5, 0.2, 0.1]
     by_doc = {e.docid: e for e in out}
     assert by_doc["d4"].provenance == PROV_FRONTIER
@@ -399,7 +399,7 @@ def test_gar_toy_larger_budget_reaches_whole_closure():
     out = gar_rerank(
         toy_r0(), MapScorer(TOY_SCORES), toy_graph(), ReRankConfig(batch_size=2, budget=8)
     )
-    assert out.docids() == ["d4", "d0", "d7", "d2", "d5", "d3", "d1", "d6"]
+    assert out.docids() == ("d4", "d0", "d7", "d2", "d5", "d3", "d1", "d6")
     by_doc = {e.docid: e for e in out}
     assert by_doc["d7"].source == "d2"
     assert by_doc["d6"].source == "d1"
